@@ -22,7 +22,7 @@ use crate::kernel;
 use crate::matrix::{Block, Matrix};
 use rayon::prelude::*;
 
-pub(crate) use crate::kernel::PackedA;
+pub(crate) use crate::kernel::{Operand, PackedA};
 
 pub use crate::kernel::simd_backend;
 
@@ -92,10 +92,7 @@ fn parallel_degree<E: Element>(madds: usize) -> usize {
 
 #[inline]
 fn op_dims<E: Element>(a: &Matrix<E>, trans: Trans) -> (usize, usize) {
-    match trans {
-        Trans::No => (a.rows(), a.cols()),
-        Trans::Yes => (a.cols(), a.rows()),
-    }
+    Operand::whole(a, trans).op_dims()
 }
 
 #[inline]
@@ -192,26 +189,67 @@ pub fn gemm_into_block<E: Element>(
     assert_eq!(ak, bk, "gemm: inner dimensions differ ({ak} vs {bk})");
     assert_eq!(am, cb.rows, "gemm: output rows mismatch");
     assert_eq!(bn, cb.cols, "gemm: output cols mismatch");
+    gemm_block(alpha, Operand::whole(a, transa), Operand::whole(b, transb), ak, beta, c, cb, false);
+}
+
+/// GEMM on operand *views*: `C[cb] = alpha · A · B + beta · C[cb]` with `A` the
+/// `cb.rows × k` block at the origin of `a` and `B` the `k × cb.cols` block at the
+/// origin of `b`. With `mask_lower` (`cb` square) only the lower triangle of the block
+/// is scaled, computed and written. `beta == 0` overwrites (BLAS semantics).
+///
+/// This is the one place a block update is fanned out over the pool: the block is cut
+/// into column strips, and per-element summation order depends only on `k`, so the
+/// result is bit-identical at every thread count. [`gemm_into_block`] and
+/// [`syrk_lower_into_block`] are its whole-operand forms; the structured residual
+/// sweeps of [`crate::verify`] and the compact-WY application of [`crate::qr`] enter
+/// here directly, multiplying sub-blocks of the factor storage in place.
+#[allow(clippy::too_many_arguments)] // BLAS-style signature over operand views
+pub(crate) fn gemm_block<E: Element>(
+    alpha: f64,
+    a: Operand<'_, E>,
+    b: Operand<'_, E>,
+    k: usize,
+    beta: f64,
+    c: &mut Matrix<E>,
+    cb: Block,
+    mask_lower: bool,
+) {
+    let (am, ak) = a.op_dims();
+    let (bk, bn) = b.op_dims();
+    assert!(
+        a.row0 + cb.rows <= am && a.col0 + k <= ak,
+        "gemm_block: A view out of bounds"
+    );
+    assert!(
+        b.row0 + k <= bk && b.col0 + cb.cols <= bn,
+        "gemm_block: B view out of bounds"
+    );
     assert!(
         cb.row + cb.rows <= c.rows() && cb.col + cb.cols <= c.cols(),
-        "gemm: output block out of bounds"
+        "gemm_block: output block out of bounds"
     );
+    assert!(!mask_lower || cb.rows == cb.cols, "gemm_block: masked block must be square");
     if cb.is_empty() {
         return;
     }
-    let k = ak;
-    scale_block(c, cb, beta);
+    if mask_lower {
+        scale_block_lower(c, cb, beta);
+    } else {
+        scale_block(c, cb, beta);
+    }
     if alpha == 0.0 || k == 0 {
         return;
     }
+    let madds = cb.rows * cb.cols * k;
+    // Masked strips carry triangular (uneven) work; oversplit so the pool's shared
+    // queue can balance them dynamically.
+    let threads = parallel_degree::<E>(if mask_lower { madds / 2 } else { madds });
+    let strips = if mask_lower && threads > 1 { threads * 4 } else { threads };
+    let strip = cb.cols.div_ceil(strips).next_multiple_of(E::NR);
     let alpha_e = E::from_f64(alpha);
-    let threads = parallel_degree::<E>(cb.rows * cb.cols * k);
-    let strip = cb.cols.div_ceil(threads).next_multiple_of(E::NR);
     with_block_cols(c, cb, |cols| {
         cols.par_chunks_mut(strip).enumerate().for_each(|(s, strip_cols)| {
-            kernel::gemm_strip(
-                alpha_e, a, transa, 0, b, transb, 0, cb.rows, k, s * strip, strip_cols, false,
-            );
+            kernel::gemm_strip(alpha_e, a, b, cb.rows, k, s * strip, strip_cols, mask_lower);
         });
     });
 }
@@ -269,12 +307,8 @@ pub fn gemm_acc_cols<E: Element>(
     }
     kernel::gemm_strip(
         E::from_f64(alpha),
-        a,
-        transa,
-        a_row0,
-        b,
-        transb,
-        b_col0,
+        Operand::at(a, transa, a_row0, 0),
+        Operand::at(b, transb, 0, b_col0),
         m,
         ak,
         0,
@@ -798,32 +832,8 @@ pub fn syrk_lower_into_block<E: Element>(
 ) {
     assert_eq!(cb.rows, cb.cols, "syrk: output block must be square");
     assert_eq!(a.rows(), cb.rows, "syrk: A rows must match block order");
-    assert!(
-        cb.row + cb.rows <= c.rows() && cb.col + cb.cols <= c.cols(),
-        "syrk: output block out of bounds"
-    );
-    if cb.is_empty() {
-        return;
-    }
-    let k = a.cols();
-    scale_block_lower(c, cb, beta);
-    if alpha == 0.0 || k == 0 {
-        return;
-    }
-    let threads = parallel_degree::<E>(cb.rows * cb.cols * k / 2);
-    // Strips carry triangular (uneven) work; oversplit so the pool's shared queue can
-    // balance them dynamically.
-    let strips = if threads > 1 { threads * 4 } else { 1 };
-    let strip = cb.cols.div_ceil(strips).next_multiple_of(E::NR);
-    let alpha_e = E::from_f64(alpha);
-    with_block_cols(c, cb, |cols| {
-        cols.par_chunks_mut(strip).enumerate().for_each(|(s, strip_cols)| {
-            kernel::gemm_strip(
-                alpha_e, a, Trans::No, 0, a, Trans::Yes, 0, cb.rows, k, s * strip, strip_cols,
-                true,
-            );
-        });
-    });
+    let (an, at) = (Operand::whole(a, Trans::No), Operand::whole(a, Trans::Yes));
+    gemm_block(alpha, an, at, a.cols(), beta, c, cb, true);
 }
 
 #[cfg(test)]

@@ -125,48 +125,60 @@ pub(crate) fn pack_b<E: Element>(
     }
 }
 
-/// Accumulate `alpha * op(A)[a_row0.., :] * op(B)[:, b_col0 + j0 ..]` into one column
-/// strip of the output block, under the autotuned blocking for `E`.
+/// `op(M)` viewed from op-coordinate `(row0, col0)` onward: how the packed core is
+/// handed an operand. The origins let callers (the per-tile factorization tasks, the
+/// structured residual sweeps) multiply sub-blocks of shared matrices without
+/// materializing copies — packing reads the sub-block directly.
+#[derive(Clone, Copy)]
+pub(crate) struct Operand<'a, E: Element> {
+    pub m: &'a Matrix<E>,
+    pub trans: Trans,
+    pub row0: usize,
+    pub col0: usize,
+}
+
+impl<'a, E: Element> Operand<'a, E> {
+    /// `op(M)` from op-coordinate `(row0, col0)`.
+    pub fn at(m: &'a Matrix<E>, trans: Trans, row0: usize, col0: usize) -> Self {
+        Self { m, trans, row0, col0 }
+    }
+
+    /// All of `op(M)`.
+    pub fn whole(m: &'a Matrix<E>, trans: Trans) -> Self {
+        Self::at(m, trans, 0, 0)
+    }
+
+    /// Shape of the whole `op(M)` (ignoring the origin).
+    pub fn op_dims(&self) -> (usize, usize) {
+        match self.trans {
+            Trans::No => (self.m.rows(), self.m.cols()),
+            Trans::Yes => (self.m.cols(), self.m.rows()),
+        }
+    }
+}
+
+/// Accumulate `alpha * A * B[:, j0 ..]` into one column strip of the output block,
+/// under the autotuned blocking for `E`.
 ///
-/// The effective `op(A)` is the `m × k` block starting at op-row `a_row0`; the
-/// effective `op(B)` columns start at op-column `b_col0 + j0`. The origins let callers
-/// (the per-tile factorization tasks) multiply sub-blocks of shared operands without
-/// materializing copies — packing reads the sub-block directly. `cols[jj]` is the
-/// mutable row range of output column `j0 + jj` (block-local coordinates, so
-/// `cols[jj][i]` is output element `(i, j0 + jj)`). With `mask_lower`, only elements
-/// with `i >= j` (block-local, i.e. the lower triangle of a square diagonal block) are
-/// computed and written — this is the SYRK path; the mask is anchored at block-local
-/// `(0, 0)` regardless of the operand origins.
+/// The effective `A` is the `m × k` block at the origin of the operand view `a`; the
+/// effective `B` is `k` rows deep from the origin of `b`, its columns starting `j0`
+/// past that origin. `cols[jj]` is the mutable row range of output column `j0 + jj`
+/// (block-local coordinates, so `cols[jj][i]` is output element `(i, j0 + jj)`). With
+/// `mask_lower`, only elements with `i >= j` (block-local, i.e. the lower triangle of a
+/// square diagonal block) are computed and written — this is the SYRK path; the mask is
+/// anchored at block-local `(0, 0)` regardless of the operand origins.
 #[allow(clippy::too_many_arguments)] // internal BLAS plumbing; mirrors the packing calls
 pub(crate) fn gemm_strip<E: Element>(
     alpha: E,
-    a: &Matrix<E>,
-    ta: Trans,
-    a_row0: usize,
-    b: &Matrix<E>,
-    tb: Trans,
-    b_col0: usize,
+    a: Operand<'_, E>,
+    b: Operand<'_, E>,
     m: usize,
     k: usize,
     j0: usize,
     cols: &mut [&mut [E]],
     mask_lower: bool,
 ) {
-    gemm_strip_with(
-        tune::params::<E>(),
-        alpha,
-        a,
-        ta,
-        a_row0,
-        b,
-        tb,
-        b_col0,
-        m,
-        k,
-        j0,
-        cols,
-        mask_lower,
-    );
+    gemm_strip_with(tune::params::<E>(), alpha, a, b, m, k, j0, cols, mask_lower);
 }
 
 /// [`gemm_strip`] under explicit blocking parameters. The autotuner's probe loop calls
@@ -175,12 +187,8 @@ pub(crate) fn gemm_strip<E: Element>(
 pub(crate) fn gemm_strip_with<E: Element>(
     p: &KernelParams,
     alpha: E,
-    a: &Matrix<E>,
-    ta: Trans,
-    a_row0: usize,
-    b: &Matrix<E>,
-    tb: Trans,
-    b_col0: usize,
+    a: Operand<'_, E>,
+    b: Operand<'_, E>,
     m: usize,
     k: usize,
     j0: usize,
@@ -201,9 +209,7 @@ pub(crate) fn gemm_strip_with<E: Element>(
     // zero-filled allocation per call showed up next to the math at that granularity.
     E::with_pack_bufs(|bufs| {
         let (apack, bpack) = bufs.slices(a_len, b_len);
-        gemm_strip_packed(
-            p, alpha, a, ta, a_row0, b, tb, b_col0, m, k, j0, cols, mask_lower, apack, bpack,
-        );
+        gemm_strip_packed(p, alpha, a, b, m, k, j0, cols, mask_lower, apack, bpack);
     });
 }
 
@@ -212,12 +218,8 @@ pub(crate) fn gemm_strip_with<E: Element>(
 fn gemm_strip_packed<E: Element>(
     p: &KernelParams,
     alpha: E,
-    a: &Matrix<E>,
-    ta: Trans,
-    a_row0: usize,
-    b: &Matrix<E>,
-    tb: Trans,
-    b_col0: usize,
+    a: Operand<'_, E>,
+    b: Operand<'_, E>,
     m: usize,
     k: usize,
     j0: usize,
@@ -231,13 +233,13 @@ fn gemm_strip_packed<E: Element>(
         let nc = p.nc.min(w - jc);
         for pc in (0..k).step_by(p.kc) {
             let kc = p.kc.min(k - pc);
-            pack_b(b, tb, pc, b_col0 + j0 + jc, kc, nc, bpack);
+            pack_b(b.m, b.trans, b.row0 + pc, b.col0 + j0 + jc, kc, nc, bpack);
             // Lower-triangle outputs only need rows at or below the strip's first
             // column; start at the enclosing MR boundary so packing stays aligned.
             let ic0 = if mask_lower { (j0 + jc) / E::MR * E::MR } else { 0 };
             for ic in (ic0..m).step_by(p.mc) {
                 let mc = p.mc.min(m - ic);
-                pack_a(a, ta, a_row0 + ic, pc, mc, kc, apack);
+                pack_a(a.m, a.trans, a.row0 + ic, a.col0 + pc, mc, kc, apack);
                 macro_kernel(alpha, kc, mc, nc, ic, jc, j0, cols, apack, bpack, mask_lower);
             }
         }
@@ -509,7 +511,16 @@ mod tests {
             let b = Matrix::<E>::from_fn(k, w, |i, j| E::from_f64(((i * 5 + j * 11) % 13) as f64 - 6.0));
             let mut fresh = Matrix::<E>::zeros(m, w);
             let mut cols = fresh.columns_mut();
-            gemm_strip(E::ONE, &a, Trans::No, 0, &b, Trans::No, 0, m, k, 0, &mut cols, false);
+            gemm_strip(
+                E::ONE,
+                Operand::whole(&a, Trans::No),
+                Operand::whole(&b, Trans::No),
+                m,
+                k,
+                0,
+                &mut cols,
+                false,
+            );
             drop(cols);
             let mut pa = PackedA::<E>::default();
             pa.repack(&a, Trans::No, 0, 0, m, k);

@@ -35,7 +35,7 @@
 //! * [`solve`] — triangular-solve front-ends (`lu_solve` / `cholesky_solve`) shared by
 //!   the f64 and mixed-precision drivers,
 //! * [`generate`] — reproducible random inputs,
-//! * [`verify`] — residual checks used both in tests and in the reliability experiments.
+//! * [`verify`] — the structure-exploiting residual checks every numeric job ends with.
 //!
 //! Paper-scale runs (n = 30720) still use the analytic performance model in `bsr-core`,
 //! but the numeric-mode experiments run on these real kernels — their throughput is

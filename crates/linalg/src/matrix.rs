@@ -324,25 +324,32 @@ impl<E: Element> Matrix<E> {
 
     /// Lower-triangular copy (strictly upper part zeroed, diagonal kept).
     pub fn lower_triangular(&self) -> Matrix<E> {
-        Matrix::from_fn(self.rows, self.cols, |i, j| if i >= j { self.get(i, j) } else { E::ZERO })
+        let mut out = Matrix::zeros(self.rows, self.cols);
+        for j in 0..self.cols.min(self.rows) {
+            out.col_range_mut(j, j, self.rows).copy_from_slice(self.col_range(j, j, self.rows));
+        }
+        out
     }
 
     /// Upper-triangular copy (strictly lower part zeroed, diagonal kept).
     pub fn upper_triangular(&self) -> Matrix<E> {
-        Matrix::from_fn(self.rows, self.cols, |i, j| if i <= j { self.get(i, j) } else { E::ZERO })
+        let mut out = Matrix::zeros(self.rows, self.cols);
+        for j in 0..self.cols {
+            let end = (j + 1).min(self.rows);
+            out.col_range_mut(j, 0, end).copy_from_slice(self.col_range(j, 0, end));
+        }
+        out
     }
 
     /// Unit-lower-triangular copy (ones on the diagonal, upper part zeroed).
     pub fn unit_lower_triangular(&self) -> Matrix<E> {
-        Matrix::from_fn(self.rows, self.cols, |i, j| {
-            if i == j {
-                E::ONE
-            } else if i > j {
-                self.get(i, j)
-            } else {
-                E::ZERO
-            }
-        })
+        let mut out = Matrix::zeros(self.rows, self.cols);
+        for j in 0..self.cols.min(self.rows) {
+            let col = out.col_range_mut(j, j, self.rows);
+            col[0] = E::ONE;
+            col[1..].copy_from_slice(self.col_range(j, j + 1, self.rows));
+        }
+        out
     }
 }
 
@@ -476,6 +483,23 @@ mod tests {
         assert_eq!(ul.get(0, 0), 1.0);
         assert_eq!(ul.get(1, 1), 1.0);
         assert_eq!(ul.get(1, 0), 3.0);
+    }
+
+    #[test]
+    fn triangles_of_rectangular_and_empty_shapes() {
+        for (rows, cols) in [(0, 0), (1, 1), (5, 3), (3, 5), (4, 0)] {
+            let m = Matrix::from_fn(rows, cols, |i, j| (1 + i * 10 + j) as f64);
+            let pick = |keep: fn(usize, usize) -> bool, diag: Option<f64>| {
+                Matrix::from_fn(rows, cols, |i, j| match diag {
+                    Some(d) if i == j => d,
+                    _ if keep(i, j) => m.get(i, j),
+                    _ => 0.0,
+                })
+            };
+            assert_eq!(m.lower_triangular(), pick(|i, j| i >= j, None), "{rows}x{cols}");
+            assert_eq!(m.upper_triangular(), pick(|i, j| i <= j, None), "{rows}x{cols}");
+            assert_eq!(m.unit_lower_triangular(), pick(|i, j| i > j, Some(1.0)), "{rows}x{cols}");
+        }
     }
 
     #[test]

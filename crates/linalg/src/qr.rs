@@ -9,7 +9,9 @@
 //!    columns (LAPACK `larfb`, the GPU side).
 
 use crate::blas1::{axpy, dot, nrm2, scal};
-use crate::blas3::{gemm, gemm_acc_cols_prepacked, gemm_into_block, repack_a_op, PackedA, Trans};
+use crate::blas3::{
+    gemm, gemm_acc_cols_prepacked, gemm_block, repack_a_op, Operand, PackedA, Trans,
+};
 use crate::dag::{group_bounds, DagBuilder, DagExecution, DagTiming, TaskOutcome};
 use crate::matrix::{Block, Matrix};
 use crate::task::{
@@ -20,11 +22,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Panel width used when applying `Q`/`Qᵀ` from stored reflectors. Independent of the
-/// block size the factorization used: reflectors compose column by column, so any
-/// grouping yields the same operator, and 32 keeps the `T` factors small while the bulk
-/// of the work rides the level-3 GEMM path.
-const APPLY_BLOCK: usize = 32;
+/// Reflector-group width used when applying `Q`/`Qᵀ` from stored reflectors.
+/// Independent of the block size the factorization used: reflectors compose column by
+/// column, so any grouping yields the same operator. One dimension of each of a group's
+/// two big GEMMs is `APPLY_BLOCK`, so it is sized for the packed core (every element
+/// of `C` is packed once per group) against the `op(T)·W` product, which grows with it;
+/// 64, 96 and 128 measure within a few percent of each other at n = 1024.
+const APPLY_BLOCK: usize = 96;
 
 /// Householder QR factors stored compactly: reflectors below the diagonal of `qr`, `R` on
 /// and above the diagonal, and one `tau` per column.
@@ -44,39 +48,51 @@ impl QrFactors {
 
     /// Apply `Qᵀ` to `c` in place (c ← Qᵀ c).
     ///
-    /// The stored reflectors are regrouped into `APPLY_BLOCK`-wide (32) panels and each
-    /// panel is applied as one compact-WY block reflector (`C ← (I − V Tᵀ Vᵀ) C`), so
-    /// the whole application rides the level-3 GEMM kernels instead of per-reflector
-    /// rank-1 sweeps.
+    /// The stored reflectors are regrouped into `APPLY_BLOCK`-wide panels and each
+    /// panel is applied as one compact-WY block reflector (`C ← (I − V Tᵀ Vᵀ) C`), in
+    /// place on `c`, so the whole application rides the level-3 GEMM kernels instead of
+    /// per-reflector rank-1 sweeps.
     pub fn apply_q_transpose(&self, c: &mut Matrix) {
-        let m = self.qr.rows();
-        assert_eq!(c.rows(), m, "apply_q_transpose: row mismatch");
         // Qᵀ = Pₖᵀ … P₁ᵀ with Pᵢᵀ = I − Vᵢ Tᵢᵀ Vᵢᵀ, applied panel-forward.
-        let k = self.taus.len();
-        let mut j0 = 0;
-        while j0 < k {
-            let nb = APPLY_BLOCK.min(k - j0);
-            let t = form_t(&self.qr, j0, nb, &self.taus);
-            let v = extract_reflectors(&self.qr, j0, nb);
-            apply_wy_left(&v, &t, Trans::Yes, c, Block::new(j0, 0, m - j0, c.cols()));
-            j0 += nb;
-        }
+        self.apply_groups(c, Trans::Yes, false);
     }
 
     /// Apply `Q` to `c` in place (c ← Q c): block reflectors applied in reverse order
     /// (`C ← (I − V T Vᵀ) C` per panel), again through the level-3 GEMM kernels.
     pub fn apply_q(&self, c: &mut Matrix) {
+        // Q = P₁ … Pₖ with Pᵢ = I − Vᵢ Tᵢ Vᵢᵀ, applied panel-backward.
+        self.apply_groups(c, Trans::No, false);
+    }
+
+    /// [`Self::apply_q`] for an upper-trapezoidal `c` (`c[i, j] == 0` for `i > j`, e.g.
+    /// [`Self::r`]): the group starting at reflector `j0` acts on rows `≥ j0`, where
+    /// every column left of `j0` is still exactly zero when the groups run backward, so
+    /// it is applied to columns `≥ j0` only — `4/3 · n³` flops on a square matrix
+    /// instead of `2 n³`. This is how the residual check forms `Q·R`.
+    pub fn apply_q_upper(&self, c: &mut Matrix) {
+        debug_assert!(
+            (0..c.cols()).all(|j| c.col(j).iter().skip(j + 1).all(|&x| x == 0.0)),
+            "apply_q_upper: operand must be zero below the diagonal"
+        );
+        self.apply_groups(c, Trans::No, true);
+    }
+
+    /// The shared group loop: forward for `Qᵀ` (`op(T) = Tᵀ`), backward for `Q`.
+    fn apply_groups(&self, c: &mut Matrix, trans_t: Trans, upper_operand: bool) {
         let m = self.qr.rows();
         assert_eq!(c.rows(), m, "apply_q: row mismatch");
-        // Q = P₁ … Pₖ with Pᵢ = I − Vᵢ Tᵢ Vᵢᵀ, applied panel-backward.
         let k = self.taus.len();
         let nblocks = k.div_ceil(APPLY_BLOCK);
-        for blk in (0..nblocks).rev() {
+        let mut scratch = WyScratch::new(APPLY_BLOCK.min(k), c.cols());
+        for step in 0..nblocks {
+            let blk = if trans_t == Trans::Yes { step } else { nblocks - 1 - step };
             let j0 = blk * APPLY_BLOCK;
             let nb = APPLY_BLOCK.min(k - j0);
-            let t = form_t(&self.qr, j0, nb, &self.taus);
             let v = extract_reflectors(&self.qr, j0, nb);
-            apply_wy_left(&v, &t, Trans::No, c, Block::new(j0, 0, m - j0, c.cols()));
+            let t = form_t_gram(&v, &self.taus[j0..j0 + nb]);
+            let col0 = if upper_operand { j0.min(c.cols()) } else { 0 };
+            let cb = Block::new(j0, col0, m - j0, c.cols() - col0);
+            apply_wy_left(&v, &t, trans_t, c, cb, &mut scratch);
         }
     }
 
@@ -164,6 +180,35 @@ pub fn form_t(a: &Matrix, j0: usize, nb: usize, taus: &[f64]) -> Matrix {
     t
 }
 
+/// The compact-WY `T` factor of an explicit reflector trapezoid `v` (from
+/// [`extract_reflectors`]) with scalars `taus`: the recurrence of [`form_t`], with all
+/// reflector inner products taken at once as the lower triangle of the Gram matrix
+/// `Vᵀ V` on the packed core instead of one memory-bound `dot` per reflector pair. The
+/// factorizations keep [`form_t`] (their `T` bits are pinned); applying `Q` from
+/// stored reflectors regroups them at `APPLY_BLOCK` and forms every `T` afresh.
+fn form_t_gram(v: &Matrix, taus: &[f64]) -> Matrix {
+    let nb = v.cols();
+    let mut gram = Matrix::zeros(nb, nb);
+    let (vt, vn) = (Operand::whole(v, Trans::Yes), Operand::whole(v, Trans::No));
+    gemm_block(1.0, vt, vn, v.rows(), 0.0, &mut gram, Block::full(nb, nb), true);
+    let mut t = Matrix::zeros(nb, nb);
+    for (i, &tau) in taus.iter().enumerate() {
+        t.set(i, i, tau);
+        if tau == 0.0 {
+            continue;
+        }
+        // T[0..i, i] = −tau · T[0..i, 0..i] · (Vᵀ v_i)[0..i], column by column.
+        for k in 0..i {
+            let wk = -tau * gram.get(i, k);
+            if wk != 0.0 {
+                let (tcol_k, tcol_i) = t.col_pair_mut(k, i);
+                axpy(wk, &tcol_k[..=k], &mut tcol_i[..=k]);
+            }
+        }
+    }
+    t
+}
+
 /// Copy the `nb` reflectors of the panel at `(j0, j0)` out of compact storage into an
 /// explicit `(m − j0) × nb` unit lower-trapezoidal `V`.
 fn extract_reflectors(a: &Matrix, j0: usize, nb: usize) -> Matrix {
@@ -177,22 +222,47 @@ fn extract_reflectors(a: &Matrix, j0: usize, nb: usize) -> Matrix {
     v
 }
 
-/// Apply the compact-WY block reflector `(I − V op(T) Vᵀ)` to the block `cb` of `c`
-/// (LAPACK `larfb`, `side = Left`): `op(T) = Tᵀ` applies `Qᵀ` of the panel, `op(T) = T`
-/// applies `Q`. `v` is the explicit trapezoid from [`extract_reflectors`] and must have
-/// `cb.rows` rows.
-fn apply_wy_left(v: &Matrix, t: &Matrix, trans_t: Trans, c: &mut Matrix, cb: Block) {
+/// The two `nb × ncols` intermediates of a compact-WY application (`Vᵀ C` and
+/// `op(T) Vᵀ C`), allocated once and reused across the reflector groups of one sweep.
+struct WyScratch {
+    vtc: Matrix,
+    tvtc: Matrix,
+}
+
+impl WyScratch {
+    fn new(nb: usize, ncols: usize) -> Self {
+        Self { vtc: Matrix::zeros(nb, ncols), tvtc: Matrix::zeros(nb, ncols) }
+    }
+}
+
+/// Apply the compact-WY block reflector `(I − V op(T) Vᵀ)` to the block `cb` of `c`, in
+/// place (LAPACK `larfb`, `side = Left`): `op(T) = Tᵀ` applies `Qᵀ` of the panel,
+/// `op(T) = T` applies `Q`. `v` is the explicit trapezoid from [`extract_reflectors`]
+/// and must have `cb.rows` rows. The packed core reads `C[cb]` where it lies — no
+/// extracted copy of the block.
+fn apply_wy_left(
+    v: &Matrix,
+    t: &Matrix,
+    trans_t: Trans,
+    c: &mut Matrix,
+    cb: Block,
+    scratch: &mut WyScratch,
+) {
     if cb.is_empty() {
         return;
     }
     debug_assert_eq!(v.rows(), cb.rows);
-    let csub = c.copy_block(cb);
+    let nb = v.cols();
+    let wb = Block::new(0, 0, nb, cb.cols);
     // W = Vᵀ C  (nb × ncols)
-    let w = gemm(v, Trans::Yes, &csub, Trans::No);
+    let c_op = Operand::at(c, Trans::No, cb.row, cb.col);
+    gemm_block(1.0, Operand::whole(v, Trans::Yes), c_op, cb.rows, 0.0, &mut scratch.vtc, wb, false);
     // W ← op(T) W
-    let w = gemm(t, trans_t, &w, Trans::No);
+    let (t_op, w_op) = (Operand::whole(t, trans_t), Operand::whole(&scratch.vtc, Trans::No));
+    gemm_block(1.0, t_op, w_op, nb, 0.0, &mut scratch.tvtc, wb, false);
     // C ← C − V W
-    gemm_into_block(-1.0, v, Trans::No, &w, Trans::No, 1.0, c, cb);
+    let w_op = Operand::whole(&scratch.tvtc, Trans::No);
+    gemm_block(-1.0, Operand::whole(v, Trans::No), w_op, nb, 1.0, c, cb, false);
 }
 
 /// Apply the block reflector of the panel at `(j0, j0)` (reflectors in `a`, factor `t`) to
@@ -213,7 +283,8 @@ pub fn apply_block_reflector(
     }
     let v = extract_reflectors(a, j0, nb);
     let c_block = Block::new(j0, col_start, m - j0, col_end - col_start);
-    apply_wy_left(&v, t, Trans::Yes, a, c_block);
+    let mut scratch = WyScratch::new(nb, c_block.cols);
+    apply_wy_left(&v, t, Trans::Yes, a, c_block, &mut scratch);
 }
 
 /// Blocked Householder QR with block size `block`.

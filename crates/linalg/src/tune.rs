@@ -28,7 +28,7 @@ use rayon::prelude::*;
 
 use crate::blas3::Trans;
 use crate::elem::Element;
-use crate::kernel;
+use crate::kernel::{self, Operand};
 use crate::matrix::Matrix;
 
 /// Cache-blocking and parallel-crossover parameters for one element type, plus where
@@ -226,12 +226,8 @@ fn time_gemm<E: Element>(
         kernel::gemm_strip_with(
             p,
             E::ONE,
-            a,
-            Trans::No,
-            0,
-            b,
-            Trans::No,
-            0,
+            Operand::whole(a, Trans::No),
+            Operand::whole(b, Trans::No),
             n,
             n,
             0,
