@@ -4,10 +4,11 @@
 //! every trailing tile after each iteration's updates) ran as a **serial epilogue**
 //! between parallel regions. [`FusedTileChecksums`] moves that same workload *into*
 //! the trailing-update tasks themselves: it implements
-//! [`bsr_linalg::task::TrailingHook`], so every per-tile-column task of
-//! `lu_tiled_with` / `cholesky_tiled_with` / `qr_tiled_with` encodes and verifies its
-//! own `tile_rows`-tall tiles right after producing them, on whichever pool thread ran
-//! the task — checksum work rides the parallel schedule instead of serializing it.
+//! [`bsr_linalg::task::TrailingHook`], so every per-tile-column task of the tiled
+//! steppers and the DAG drivers (`lu_dag_with` / `cholesky_dag_with` / `qr_dag_with`)
+//! encodes and verifies its own `tile_rows`-tall tiles right after producing them, on
+//! whichever pool thread ran the task — checksum work rides the parallel schedule
+//! instead of serializing it.
 //!
 //! Scope: like the serial epilogue it replaces, this hook encodes fresh checksums from
 //! the just-updated tile and immediately verifies against them — it exercises and
@@ -19,6 +20,21 @@
 //! ([`crate::checksum::update_block_checksums_gemm`]), which the reliability drivers
 //! in `bsr-core` apply across iterations; fusing those carried checksums into the
 //! task graph is future work.
+//!
+//! One hook for every element type: the impl is written once over
+//! `bsr_linalg::Element`, and the checksum arithmetic is always f64. At `E = f64` the
+//! hook works on the task's own slices in place (no copy). At a narrower type — the
+//! mixed-precision path factors in f32 — each tile is **promoted** to f64 (exact),
+//! screened for non-finite values on the way (an f32 accumulation blowup is not an
+//! injected SDC but must not pass as data; it is tallied as one uncorrectable event
+//! and counted by [`FusedTileChecksums::nonfinite_screened`]), then encoded, struck,
+//! verified and corrected exactly like an f64 tile, and **demoted** back. Verifying
+//! f32 tiles against f32 checksums would fold the code's detection threshold into f32
+//! round-off, where a genuine SDC and ordinary accumulation error are
+//! indistinguishable. The demotion rounds a corrected element to the nearest f32, so
+//! a correction there is exact to half an f32 ulp and acceptance is judged at the
+//! residual level by `bsr-core`'s f64 refinement sweep; recovery verdicts, fault
+//! targets and strike budgets are the same code at both types.
 //!
 //! Determinism: each (iteration, tile column) pair is visited by exactly one task, and
 //! the hook touches only that task's own slices, so fused runs are bit-identical to
@@ -37,6 +53,7 @@ use crate::inject::{
 use crate::recover::{FaultSite, RecoveryTracker};
 use bsr_linalg::matrix::Block;
 use bsr_linalg::task::{TileVerdict, TrailingHook};
+use bsr_linalg::Element;
 use hetero_sim::sdc::ErrorPattern;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -102,9 +119,9 @@ impl PlannedFault {
     }
 }
 
-/// A [`TrailingHook`] that re-encodes and verifies (correcting where the scheme
-/// allows) every `tile_rows`-tall tile of each updated tile column group, inside the
-/// task that produced it. Optionally injects [`PlannedFault`]s into their target
+/// A [`TrailingHook`] — at every element type — that re-encodes and verifies
+/// (correcting where the scheme allows) every `tile_rows`-tall tile of each updated
+/// tile column group, inside the task that produced it. Optionally injects [`PlannedFault`]s into their target
 /// tiles between encode and verify, exercising the full detect/correct pipeline on
 /// the parallel schedule.
 pub struct FusedTileChecksums {
@@ -114,8 +131,11 @@ pub struct FusedTileChecksums {
     tally: Mutex<VerifyOutcome>,
     injected: Mutex<Vec<InjectedFault>>,
     /// Checksum nanoseconds summed across tasks (CPU time, not wall time: concurrent
-    /// tasks overlap).
+    /// tasks overlap). Includes the promote/demote copies of narrower element types:
+    /// they exist only because of protection, so they are charged to it.
     checksum_nanos: AtomicU64,
+    /// Non-finite elements caught by the promotion screen (always 0 at `E = f64`).
+    nonfinite: AtomicU64,
     /// Recovery bookkeeping shared with the engine; `None` (or a disabled policy)
     /// keeps the pre-recovery detect-and-tally behavior.
     recovery: Option<Arc<RecoveryTracker>>,
@@ -141,6 +161,7 @@ impl FusedTileChecksums {
             tally: Mutex::new(VerifyOutcome::default()),
             injected: Mutex::new(Vec::new()),
             checksum_nanos: AtomicU64::new(0),
+            nonfinite: AtomicU64::new(0),
             recovery: None,
         }
     }
@@ -221,15 +242,169 @@ impl FusedTileChecksums {
     pub fn checksum_seconds(&self) -> f64 {
         self.checksum_nanos.load(Ordering::Relaxed) as f64 * 1e-9
     }
+
+    /// Non-finite elements caught so far by the promotion screen of a narrower
+    /// element type (f32 accumulation blowups; always 0 for f64 runs). Each screened
+    /// tile is also tallied as one uncorrectable verification event: a blowup is not
+    /// locatable by the checksum code (whole rows go non-finite), so it escalates
+    /// the same way an uncorrectable SDC does.
+    pub fn nonfinite_screened(&self) -> u64 {
+        self.nonfinite.load(Ordering::Relaxed)
+    }
+
+    fn recovery_enabled(&self) -> bool {
+        self.recovery.as_ref().is_some_and(|tr| tr.policy().enabled)
+    }
+
+    /// Tally a tile the promotion screen rejected (`bad` non-finite elements).
+    fn tally_screened(&self, bad: u64, row: usize, col: usize, out: &mut VerifyOutcome) {
+        self.nonfinite.fetch_add(bad, Ordering::Relaxed);
+        out.uncorrectable += 1;
+        out.events.push(VerifyEvent { row, col, kind: VerifyEventKind::Uncorrectable });
+        out.events.sort_unstable();
+    }
+
+    /// Encode → strike the planned faults → verify/correct one `tile_rows`-tall f64
+    /// tile whose top-left element is `(tile_row, col0)`. Returns the encode + verify
+    /// nanoseconds: fault injection is simulated corruption, not ABFT work, so an
+    /// unprotected (`None`) run with planned faults reports exactly zero checksum cost.
+    fn protect_tile(
+        &self,
+        tile_row: usize,
+        col0: usize,
+        tile: &mut [&mut [f64]],
+        out: &mut VerifyOutcome,
+        struck: &mut Vec<InjectedFault>,
+    ) -> u64 {
+        let mut nanos = 0u64;
+        let mut cs: Option<BlockChecksums> = if self.scheme == ChecksumScheme::None {
+            None
+        } else {
+            let t0 = Instant::now();
+            let views: Vec<&[f64]> = tile.iter().map(|c| &**c).collect();
+            let block = Block::new(tile_row, col0, tile[0].len(), tile.len());
+            let cs = encode_block_slices(&views, block, self.scheme);
+            nanos += t0.elapsed().as_nanos() as u64;
+            Some(cs)
+        };
+        // Checksum-of-checksums, taken while the encoding is trusted. The Multi
+        // codes recognize metadata strikes through the code itself (their
+        // verifier decodes them as `CorrectedCheck`), so the guard — which can
+        // only declare the whole tile uncorrectable — is legacy-scheme-only.
+        let guard = match self.scheme {
+            ChecksumScheme::Multi(_) => None,
+            _ => cs.as_ref().map(checksum_guard),
+        };
+        // Planned faults strike this tile now — after encode, before verify.
+        // Panel-targeted faults belong to `after_panel_factor`, not here.
+        for fault in self
+            .faults
+            .iter()
+            .filter(|f| f.row == tile_row && f.col == col0 && f.target != FaultTarget::Panel)
+        {
+            if !self.strike_fires(fault) {
+                continue;
+            }
+            let mut rng = ChaCha8Rng::seed_from_u64(fault.seed);
+            match fault.target {
+                FaultTarget::TileData => {
+                    struck.push(inject_fault_slices(tile, tile_row, col0, fault.pattern, &mut rng));
+                }
+                FaultTarget::Burst => {
+                    struck.push(inject_burst_slices(tile, tile_row, col0, &mut rng));
+                }
+                FaultTarget::Grid(g) => {
+                    struck.push(inject_grid_slices(tile, tile_row, col0, g, &mut rng));
+                }
+                FaultTarget::Checksum => {
+                    if let Some(cs) = cs.as_mut() {
+                        let n = corrupt_checksums(cs, &mut rng);
+                        struck.push(InjectedFault {
+                            pattern: fault.pattern,
+                            row: tile_row,
+                            col: col0,
+                            elements: n,
+                        });
+                    }
+                }
+                FaultTarget::Panel => unreachable!("filtered above"),
+            }
+        }
+        if let Some(cs) = cs {
+            let t0 = Instant::now();
+            if guard.is_some_and(|g| g != checksum_guard(&cs)) {
+                // The checksum vectors themselves are corrupt: element
+                // verification would "correct" healthy data against garbage,
+                // so it is skipped and the tile is uncorrectable-by-detection.
+                // (Multi schemes carry no guard — their verifier decodes
+                // check strikes through the code itself.)
+                out.uncorrectable += 1;
+                out.events.push(VerifyEvent {
+                    row: tile_row,
+                    col: col0,
+                    kind: VerifyEventKind::ChecksumGuard,
+                });
+                out.events.sort_unstable();
+            } else {
+                out.merge(&verify_and_correct_slices(tile, &cs));
+            }
+            nanos += t0.elapsed().as_nanos() as u64;
+        }
+        nanos
+    }
 }
 
-impl TrailingHook for FusedTileChecksums {
+/// Run `f` over `cols` as f64 column slices: in place, with no copy, at `E = f64`;
+/// for a narrower element type on a promoted copy (exact) that is demoted back
+/// afterwards (round to nearest), so whatever `f` corrected — or left corrupted —
+/// lands in the factors. The copies' nanoseconds are added to `copy_nanos`.
+///
+/// `Err(count)`, without calling `f`, when the promotion finds `count` non-finite
+/// elements: an accumulation blowup of the narrow type, which no checksum can locate.
+fn on_f64_cols<E: Element, R>(
+    cols: &mut [&mut [E]],
+    copy_nanos: &mut u64,
+    f: impl FnOnce(&mut [&mut [f64]]) -> R,
+) -> Result<R, u64> {
+    if let Some(cols) = E::as_f64_cols(cols) {
+        return Ok(f(cols));
+    }
+    let t0 = Instant::now();
+    let mut bad = 0u64;
+    let mut promoted: Vec<Vec<f64>> = cols
+        .iter()
+        .map(|c| {
+            c.iter()
+                .map(|&v| {
+                    bad += u64::from(!v.is_finite());
+                    v.to_f64()
+                })
+                .collect()
+        })
+        .collect();
+    *copy_nanos += t0.elapsed().as_nanos() as u64;
+    if bad > 0 {
+        return Err(bad);
+    }
+    let mut views: Vec<&mut [f64]> = promoted.iter_mut().map(Vec::as_mut_slice).collect();
+    let result = f(&mut views);
+    let t0 = Instant::now();
+    for (col, src) in cols.iter_mut().zip(&promoted) {
+        for (dst, &v) in col.iter_mut().zip(src) {
+            *dst = E::from_f64(v);
+        }
+    }
+    *copy_nanos += t0.elapsed().as_nanos() as u64;
+    Ok(result)
+}
+
+impl<E: Element> TrailingHook<E> for FusedTileChecksums {
     fn after_tile_update(
         &self,
         iter: usize,
         col0: usize,
         row0: usize,
-        cols: &mut [&mut [f64]],
+        cols: &mut [&mut [E]],
     ) -> TileVerdict {
         if cols.is_empty() || cols[0].is_empty() {
             return TileVerdict::Accept;
@@ -238,96 +413,27 @@ impl TrailingHook for FusedTileChecksums {
             return TileVerdict::Accept;
         }
         let height = cols[0].len();
-        let width = cols.len();
         let mut out = VerifyOutcome::default();
         let mut struck = Vec::new();
-        // Only the encode and verify segments are charged as checksum time: fault
-        // injection is simulated corruption, not ABFT work, so an unprotected
-        // (`None`) run with planned faults reports exactly zero checksum cost.
         let mut nanos = 0u64;
+        // Promote/demote copies exist only because of protection, so they are
+        // charged to it — but not to an unprotected run that copies for injection.
+        let mut copy_nanos = 0u64;
         let mut r = 0;
         while r < height {
             let rows = self.tile_rows.min(height - r);
             let tile_row = row0 + r;
-            let mut cs: Option<BlockChecksums> = if self.scheme == ChecksumScheme::None {
-                None
-            } else {
-                let t0 = Instant::now();
-                let views: Vec<&[f64]> = cols.iter().map(|c| &c[r..r + rows]).collect();
-                let cs =
-                    encode_block_slices(&views, Block::new(tile_row, col0, rows, width), self.scheme);
-                nanos += t0.elapsed().as_nanos() as u64;
-                Some(cs)
-            };
-            // Checksum-of-checksums, taken while the encoding is trusted. The Multi
-            // codes recognize metadata strikes through the code itself (their
-            // verifier decodes them as `CorrectedCheck`), so the guard — which can
-            // only declare the whole tile uncorrectable — is legacy-scheme-only.
-            let guard = match self.scheme {
-                ChecksumScheme::Multi(_) => None,
-                _ => cs.as_ref().map(checksum_guard),
-            };
-            let mut tile: Vec<&mut [f64]> = cols.iter_mut().map(|c| &mut c[r..r + rows]).collect();
-            // Planned faults strike this tile now — after encode, before verify.
-            // Panel-targeted faults belong to `after_panel_factor`, not here.
-            for fault in self
-                .faults
-                .iter()
-                .filter(|f| f.row == tile_row && f.col == col0 && f.target != FaultTarget::Panel)
-            {
-                if !self.strike_fires(fault) {
-                    continue;
-                }
-                let mut rng = ChaCha8Rng::seed_from_u64(fault.seed);
-                match fault.target {
-                    FaultTarget::TileData => struck.push(inject_fault_slices(
-                        &mut tile,
-                        tile_row,
-                        col0,
-                        fault.pattern,
-                        &mut rng,
-                    )),
-                    FaultTarget::Burst => {
-                        struck.push(inject_burst_slices(&mut tile, tile_row, col0, &mut rng));
-                    }
-                    FaultTarget::Grid(g) => {
-                        struck.push(inject_grid_slices(&mut tile, tile_row, col0, g, &mut rng));
-                    }
-                    FaultTarget::Checksum => {
-                        if let Some(cs) = cs.as_mut() {
-                            let n = corrupt_checksums(cs, &mut rng);
-                            struck.push(InjectedFault {
-                                pattern: fault.pattern,
-                                row: tile_row,
-                                col: col0,
-                                elements: n,
-                            });
-                        }
-                    }
-                    FaultTarget::Panel => unreachable!("filtered above"),
-                }
-            }
-            if let Some(cs) = cs {
-                let t0 = Instant::now();
-                if guard.is_some_and(|g| g != checksum_guard(&cs)) {
-                    // The checksum vectors themselves are corrupt: element
-                    // verification would "correct" healthy data against garbage,
-                    // so it is skipped and the tile is uncorrectable-by-detection.
-                    // (Multi schemes carry no guard — their verifier decodes
-                    // check strikes through the code itself.)
-                    out.uncorrectable += 1;
-                    out.events.push(VerifyEvent {
-                        row: tile_row,
-                        col: col0,
-                        kind: VerifyEventKind::ChecksumGuard,
-                    });
-                    out.events.sort_unstable();
-                } else {
-                    out.merge(&verify_and_correct_slices(&mut tile, &cs));
-                }
-                nanos += t0.elapsed().as_nanos() as u64;
+            let mut tile: Vec<&mut [E]> = cols.iter_mut().map(|c| &mut c[r..r + rows]).collect();
+            match on_f64_cols(&mut tile, &mut copy_nanos, |tile| {
+                self.protect_tile(tile_row, col0, tile, &mut out, &mut struck)
+            }) {
+                Ok(tile_nanos) => nanos += tile_nanos,
+                Err(bad) => self.tally_screened(bad, tile_row, col0, &mut out),
             }
             r += rows;
+        }
+        if self.scheme != ChecksumScheme::None {
+            nanos += copy_nanos;
         }
         self.settle_attempt(iter, col0, FaultSite::Update, out, struck, nanos)
     }
@@ -337,7 +443,7 @@ impl TrailingHook for FusedTileChecksums {
         iter: usize,
         col0: usize,
         row0: usize,
-        cols: &mut [&mut [f64]],
+        cols: &mut [&mut [E]],
     ) -> TileVerdict {
         // Panel verification is detection-only, and only runs when a panel strike
         // is actually planned for this panel: a clean run pays zero panel-check
@@ -352,47 +458,53 @@ impl TrailingHook for FusedTileChecksums {
         if pfaults.is_empty() || cols.is_empty() || cols[0].is_empty() {
             return TileVerdict::Accept;
         }
-        let mut nanos = 0u64;
-        let t0 = Instant::now();
-        let before = {
-            let views: Vec<&[f64]> = cols.iter().map(|c| &**c).collect();
-            encode_column_checksums_slices(&views, 2)
-        };
-        nanos += t0.elapsed().as_nanos() as u64;
-        let mut struck = Vec::new();
-        for fault in pfaults {
-            if !self.strike_fires(fault) {
-                continue;
-            }
-            let mut rng = ChaCha8Rng::seed_from_u64(fault.seed);
-            struck.push(inject_fault_slices(cols, row0, col0, fault.pattern, &mut rng));
-        }
-        let t0 = Instant::now();
-        let after = {
-            let views: Vec<&[f64]> = cols.iter().map(|c| &**c).collect();
-            encode_column_checksums_slices(&views, 2)
-        };
-        let scale = before.sum().iter().fold(0.0_f64, |a, &v| a.max(v.abs()));
         let mut out = VerifyOutcome::default();
-        for j in 0..cols.len() {
-            let bad = (before.sum()[j] - after.sum()[j]).abs() > 1e-6 * scale.max(1.0)
-                || (before.weighted()[j] - after.weighted()[j]).abs() > 1e-6 * scale.max(1.0);
-            if bad {
-                out.uncorrectable += 1;
-                out.events.push(VerifyEvent {
-                    row: row0,
-                    col: col0 + j,
-                    kind: VerifyEventKind::Uncorrectable,
-                });
+        let mut struck = Vec::new();
+        let mut nanos = 0u64;
+        let checked = on_f64_cols(cols, &mut nanos, |cols| {
+            let t0 = Instant::now();
+            let before = {
+                let views: Vec<&[f64]> = cols.iter().map(|c| &**c).collect();
+                encode_column_checksums_slices(&views, 2)
+            };
+            let encode_nanos = t0.elapsed().as_nanos() as u64;
+            for fault in pfaults {
+                if !self.strike_fires(fault) {
+                    continue;
+                }
+                let mut rng = ChaCha8Rng::seed_from_u64(fault.seed);
+                struck.push(inject_fault_slices(cols, row0, col0, fault.pattern, &mut rng));
             }
+            let t0 = Instant::now();
+            let after = {
+                let views: Vec<&[f64]> = cols.iter().map(|c| &**c).collect();
+                encode_column_checksums_slices(&views, 2)
+            };
+            let scale = before.sum().iter().fold(0.0_f64, |a, &v| a.max(v.abs()));
+            for j in 0..cols.len() {
+                let bad = (before.sum()[j] - after.sum()[j]).abs() > 1e-6 * scale.max(1.0)
+                    || (before.weighted()[j] - after.weighted()[j]).abs() > 1e-6 * scale.max(1.0);
+                if bad {
+                    out.uncorrectable += 1;
+                    out.events.push(VerifyEvent {
+                        row: row0,
+                        col: col0 + j,
+                        kind: VerifyEventKind::Uncorrectable,
+                    });
+                }
+            }
+            out.events.sort_unstable();
+            encode_nanos + t0.elapsed().as_nanos() as u64
+        });
+        match checked {
+            Ok(check_nanos) => nanos += check_nanos,
+            Err(bad) => self.tally_screened(bad, row0, col0, &mut out),
         }
-        out.events.sort_unstable();
-        nanos += t0.elapsed().as_nanos() as u64;
         self.settle_attempt(iter, col0, FaultSite::Panel, out, struck, nanos)
     }
 
     fn wants_snapshots(&self) -> bool {
-        self.recovery.as_ref().is_some_and(|tr| tr.policy().enabled)
+        self.recovery_enabled()
     }
 }
 
@@ -439,15 +551,27 @@ impl PerIterationChecksums {
     pub fn faults_injected(&self) -> usize {
         self.hooks.iter().map(|h| h.faults_injected()).sum()
     }
+
+    /// Total checksum seconds across all iterations (CPU-summed, see
+    /// [`FusedTileChecksums::checksum_seconds`]).
+    pub fn checksum_seconds(&self) -> f64 {
+        self.hooks.iter().map(|h| h.checksum_seconds()).sum()
+    }
+
+    /// Total non-finite elements screened across all iterations (see
+    /// [`FusedTileChecksums::nonfinite_screened`]).
+    pub fn nonfinite_screened(&self) -> u64 {
+        self.hooks.iter().map(|h| h.nonfinite_screened()).sum()
+    }
 }
 
-impl TrailingHook for PerIterationChecksums {
+impl<E: Element> TrailingHook<E> for PerIterationChecksums {
     fn after_tile_update(
         &self,
         iter: usize,
         col0: usize,
         row0: usize,
-        cols: &mut [&mut [f64]],
+        cols: &mut [&mut [E]],
     ) -> TileVerdict {
         self.hooks[iter].after_tile_update(iter, col0, row0, cols)
     }
@@ -457,13 +581,13 @@ impl TrailingHook for PerIterationChecksums {
         iter: usize,
         col0: usize,
         row0: usize,
-        cols: &mut [&mut [f64]],
+        cols: &mut [&mut [E]],
     ) -> TileVerdict {
         self.hooks[iter].after_panel_factor(iter, col0, row0, cols)
     }
 
     fn wants_snapshots(&self) -> bool {
-        self.hooks.iter().any(FusedTileChecksums::wants_snapshots)
+        self.hooks.iter().any(FusedTileChecksums::recovery_enabled)
     }
 }
 

@@ -21,9 +21,10 @@
 //!   trailing-update tasks, so checksum maintenance runs on the parallel schedule
 //!   instead of as a serial epilogue (see the module docs for what this does and does
 //!   not protect against);
-//! * [`mixed`] — [`MixedChecksums`], the mixed-precision rung: f64 checksum
-//!   protection over *f32* factorization tiles (promote → encode → verify/correct →
-//!   demote), catching both injected SDCs and f32 accumulation blowups;
+//! * [`mixed`] — the mixed-precision *names* of those same hooks: `FusedTileChecksums`
+//!   implements the hook for every element type, keeping the protection in f64 over
+//!   f32 factorization tiles (promote → encode → verify/correct → demote) and catching
+//!   both injected SDCs and f32 accumulation blowups;
 //! * [`inject`] — fault injection with 0D/1D/2D patterns for the reliability experiments
 //!   (paper Figure 9);
 //! * [`recover`] — the escalation ladder for faults *beyond* in-place correction

@@ -1,269 +1,25 @@
-//! f64 checksum protection over f32 factorization tiles — the mixed-precision rung.
+//! The mixed-precision names of the unified checksum hooks.
 //!
-//! The mixed-precision engine path factors in f32 (twice the SIMD lanes per vector,
-//! see `bsr_linalg::elem`) but keeps the *protection* in f64: verifying an f32 tile
-//! against f32 checksums would fold the code's detection threshold into f32 round-off,
-//! where a genuine SDC and ordinary accumulation error become indistinguishable.
-//! [`MixedChecksums`] therefore runs the established f64 pipeline over a **promoted
-//! copy** of each tile:
-//!
-//! 1. promote the freshly updated f32 tile to f64 (exact: every f32 is representable),
-//!    screening for non-finite values on the way — an f32 accumulation blowup
-//!    (overflow to `inf`, `0/0` to NaN) is caught here even though it is not an
-//!    injected SDC;
-//! 2. encode f64 checksums of the promoted tile ([`encode_block_slices`]);
-//! 3. strike any [`PlannedFault`]s into the promoted copy (after encode, before
-//!    verify — the paper's SDC window);
-//! 4. verify and correct in f64 ([`verify_and_correct_slices`]);
-//! 5. demote the tile back to f32.
-//!
-//! The demotion rounds each corrected element to the nearest f32, so a correction is
-//! exact only up to half an ulp of f32 — downstream acceptance is therefore judged at
-//! the *residual* level by the f64 iterative-refinement sweep in `bsr-core`, not by
-//! bitwise comparison. Uncorrectable strikes stay in the factors and surface as a
-//! non-converging refinement, which is the mixed path's structured-failure signal.
+//! There is no separate mixed-precision hook: [`FusedTileChecksums`] implements
+//! `TrailingHook<E>` for every element type and keeps the *protection* in f64 — at
+//! `E = f32` it promotes each tile, screens it for f32 accumulation blowups, encodes,
+//! strikes, verifies/corrects and demotes it back (see [`crate::fused`]), with the
+//! same recovery ladder and fault targets an f64 run has. These aliases are kept only
+//! because the frozen `benchmark/` crate imports the names.
 
-use crate::checksum::{
-    encode_block_slices, verify_and_correct_slices, ChecksumScheme, VerifyEvent, VerifyEventKind,
-    VerifyOutcome,
-};
-use crate::fused::{FaultTarget, PlannedFault};
-use crate::inject::{inject_burst_slices, inject_fault_slices, inject_grid_slices, InjectedFault};
-use bsr_linalg::lowprec::TrailingHookF32;
-use bsr_linalg::matrix::Block;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
+use crate::fused::{FusedTileChecksums, PerIterationChecksums};
 
-/// A [`TrailingHookF32`] that protects f32 trailing tiles with f64 checksums:
-/// promote → encode → (inject) → verify/correct → demote, once per
-/// `tile_rows`-tall tile of every updated tile column group.
-pub struct MixedChecksums {
-    scheme: ChecksumScheme,
-    tile_rows: usize,
-    faults: Vec<PlannedFault>,
-    tally: Mutex<VerifyOutcome>,
-    injected: Mutex<Vec<InjectedFault>>,
-    /// Checksum nanoseconds summed across tasks (includes the promote/demote copies:
-    /// they exist only because of protection, so they are charged to it).
-    checksum_nanos: AtomicU64,
-    /// Non-finite elements caught by the promotion screen.
-    nonfinite: AtomicU64,
-}
+/// [`FusedTileChecksums`] (alias kept for `benchmark/`).
+pub type MixedChecksums = FusedTileChecksums;
 
-impl MixedChecksums {
-    /// Protect with `scheme`, tiling each column group into `tile_rows`-tall tiles
-    /// (normally the factorization's block size).
-    pub fn new(scheme: ChecksumScheme, tile_rows: usize) -> Self {
-        Self::with_faults(scheme, tile_rows, Vec::new())
-    }
-
-    /// [`MixedChecksums::new`] plus a fault-injection plan; faults strike the
-    /// promoted f64 copy between encode and verify, then demote back with the
-    /// rest of the tile (an uncorrected fault therefore lands in the f32 factors).
-    pub fn with_faults(scheme: ChecksumScheme, tile_rows: usize, faults: Vec<PlannedFault>) -> Self {
-        assert!(tile_rows > 0, "tile height must be positive");
-        Self {
-            scheme,
-            tile_rows,
-            faults,
-            tally: Mutex::new(VerifyOutcome::default()),
-            injected: Mutex::new(Vec::new()),
-            checksum_nanos: AtomicU64::new(0),
-            nonfinite: AtomicU64::new(0),
-        }
-    }
-
-    /// Merged verification outcome across all tasks so far.
-    pub fn outcome(&self) -> VerifyOutcome {
-        self.tally.lock().unwrap().clone()
-    }
-
-    /// Number of planned faults injected so far.
-    pub fn faults_injected(&self) -> usize {
-        self.injected.lock().unwrap().len()
-    }
-
-    /// Descriptions of the faults injected so far.
-    pub fn injected(&self) -> Vec<InjectedFault> {
-        self.injected.lock().unwrap().clone()
-    }
-
-    /// Checksum seconds summed across all tasks (promote + encode + verify + demote).
-    pub fn checksum_seconds(&self) -> f64 {
-        self.checksum_nanos.load(Ordering::Relaxed) as f64 * 1e-9
-    }
-
-    /// Non-finite f32 elements caught by the promotion screen so far. Each screened
-    /// tile is also tallied as one uncorrectable verification event: a blowup is not
-    /// locatable by the checksum code (whole rows go non-finite), so it escalates
-    /// the same way an uncorrectable SDC does.
-    pub fn nonfinite_screened(&self) -> u64 {
-        self.nonfinite.load(Ordering::Relaxed)
-    }
-}
-
-impl TrailingHookF32 for MixedChecksums {
-    fn after_tile_update(&self, _iter: usize, col0: usize, row0: usize, cols: &mut [&mut [f32]]) {
-        if cols.is_empty() || cols[0].is_empty() {
-            return;
-        }
-        if self.scheme == ChecksumScheme::None && self.faults.is_empty() {
-            return;
-        }
-        let height = cols[0].len();
-        let width = cols.len();
-        let mut out = VerifyOutcome::default();
-        let mut struck = Vec::new();
-        let mut nanos = 0u64;
-        let mut r = 0;
-        while r < height {
-            let rows = self.tile_rows.min(height - r);
-            let tile_row = row0 + r;
-            let t0 = Instant::now();
-            // Promote the tile to f64 (exact) and screen for f32 blowups.
-            let mut bad = 0u64;
-            let mut promoted: Vec<Vec<f64>> = cols
-                .iter()
-                .map(|c| {
-                    c[r..r + rows]
-                        .iter()
-                        .map(|&v| {
-                            if !v.is_finite() {
-                                bad += 1;
-                            }
-                            v as f64
-                        })
-                        .collect()
-                })
-                .collect();
-            if bad > 0 {
-                // Not locatable by the code: tally one uncorrectable event for the
-                // tile and leave the data for refinement to reject.
-                self.nonfinite.fetch_add(bad, Ordering::Relaxed);
-                out.uncorrectable += 1;
-                out.events.push(VerifyEvent {
-                    row: tile_row,
-                    col: col0,
-                    kind: VerifyEventKind::Uncorrectable,
-                });
-                out.events.sort_unstable();
-                nanos += t0.elapsed().as_nanos() as u64;
-                r += rows;
-                continue;
-            }
-            let cs = if self.scheme == ChecksumScheme::None {
-                None
-            } else {
-                let views: Vec<&[f64]> = promoted.iter().map(|c| c.as_slice()).collect();
-                Some(encode_block_slices(
-                    &views,
-                    Block::new(tile_row, col0, rows, width),
-                    self.scheme,
-                ))
-            };
-            nanos += t0.elapsed().as_nanos() as u64;
-            // Planned faults strike the promoted copy now — after encode, before
-            // verify. (Checksum/panel targets belong to the f64 pipeline's recovery
-            // ladder, not the mixed rung; they are ignored here.)
-            let mut tile: Vec<&mut [f64]> = promoted.iter_mut().map(|c| c.as_mut_slice()).collect();
-            for fault in self.faults.iter().filter(|f| f.row == tile_row && f.col == col0) {
-                let mut rng = ChaCha8Rng::seed_from_u64(fault.seed);
-                match fault.target {
-                    FaultTarget::TileData => struck.push(inject_fault_slices(
-                        &mut tile,
-                        tile_row,
-                        col0,
-                        fault.pattern,
-                        &mut rng,
-                    )),
-                    FaultTarget::Burst => {
-                        struck.push(inject_burst_slices(&mut tile, tile_row, col0, &mut rng));
-                    }
-                    FaultTarget::Grid(g) => {
-                        struck.push(inject_grid_slices(&mut tile, tile_row, col0, g, &mut rng));
-                    }
-                    FaultTarget::Checksum | FaultTarget::Panel => {}
-                }
-            }
-            let t0 = Instant::now();
-            if let Some(cs) = cs {
-                out.merge(&verify_and_correct_slices(&mut tile, &cs));
-            }
-            // Demote back: corrections (and any uncorrected strikes) land in the f32
-            // factors, rounded to nearest.
-            for (col, src) in cols.iter_mut().zip(promoted.iter()) {
-                for (dst, &v) in col[r..r + rows].iter_mut().zip(src.iter()) {
-                    *dst = v as f32;
-                }
-            }
-            nanos += t0.elapsed().as_nanos() as u64;
-            r += rows;
-        }
-        self.checksum_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.tally.lock().unwrap().merge(&out);
-        if !struck.is_empty() {
-            self.injected.lock().unwrap().extend(struck);
-        }
-    }
-}
-
-/// Per-iteration multiplexer for whole-factorization f32 drivers, mirroring
-/// [`crate::fused::PerIterationChecksums`]: `bsr_linalg::lowprec`'s blocked drivers
-/// run all iterations in one call with one hook, so each iteration's scheme and
-/// fault plan get their own [`MixedChecksums`] and this type dispatches on the
-/// iteration index the driver passes.
-pub struct MixedPerIterationChecksums {
-    hooks: Vec<MixedChecksums>,
-}
-
-impl MixedPerIterationChecksums {
-    /// Multiplex over `hooks[k]` for iteration `k`; one entry per blocked iteration.
-    pub fn new(hooks: Vec<MixedChecksums>) -> Self {
-        Self { hooks }
-    }
-
-    /// The hook serving iteration `k`.
-    pub fn hook(&self, k: usize) -> &MixedChecksums {
-        &self.hooks[k]
-    }
-
-    /// Verification outcome merged across all iterations.
-    pub fn outcome(&self) -> VerifyOutcome {
-        let mut out = VerifyOutcome::default();
-        for h in &self.hooks {
-            out.merge(&h.outcome());
-        }
-        out
-    }
-
-    /// Total planned faults injected across all iterations.
-    pub fn faults_injected(&self) -> usize {
-        self.hooks.iter().map(|h| h.faults_injected()).sum()
-    }
-
-    /// Total checksum seconds across all iterations.
-    pub fn checksum_seconds(&self) -> f64 {
-        self.hooks.iter().map(|h| h.checksum_seconds()).sum()
-    }
-
-    /// Total non-finite elements screened across all iterations.
-    pub fn nonfinite_screened(&self) -> u64 {
-        self.hooks.iter().map(|h| h.nonfinite_screened()).sum()
-    }
-}
-
-impl TrailingHookF32 for MixedPerIterationChecksums {
-    fn after_tile_update(&self, iter: usize, col0: usize, row0: usize, cols: &mut [&mut [f32]]) {
-        self.hooks[iter].after_tile_update(iter, col0, row0, cols);
-    }
-}
+/// [`PerIterationChecksums`] (alias kept for `benchmark/`).
+pub type MixedPerIterationChecksums = PerIterationChecksums;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checksum::ChecksumScheme;
+    use crate::fused::PlannedFault;
     use bsr_linalg::generate::{random_diag_dominant_matrix, random_spd_matrix};
     use bsr_linalg::lowprec::{cholesky_blocked_f32, lu_blocked_f32};
     use bsr_linalg::solve::lu_solve;
@@ -294,20 +50,23 @@ mod tests {
         let n = 48;
         let b = 8;
         let a = random_diag_dominant_matrix(&mut rng, n).demote();
-        // Strike the first trailing tile of iteration 0 (rows/cols [b, 2b)).
-        let faults = vec![PlannedFault::tile(b, b, ErrorPattern::ZeroD, 5)];
-        let hook = MixedChecksums::with_faults(ChecksumScheme::Full, b, faults);
-        let struck = lu_blocked_f32(&a, b, &hook).unwrap();
-        assert_eq!(hook.faults_injected(), 1);
-        let out = hook.outcome();
-        assert!(out.total_corrected() >= 1, "the strike must be corrected");
-        assert_eq!(out.uncorrectable, 0);
-        // Correction is rounded through f32, so judge at the solve level: the struck
-        // factors must still solve A x = b to f32-factorization accuracy.
-        let bvec = Matrix::<f32>::from_fn(n, 1, |i, _| (i as f32 / n as f32) - 0.4);
-        let x = lu_solve(&struck.lu, &struck.pivots, &bvec);
-        let ax = blas3::gemm(&a, Trans::No, &x, Trans::No);
-        assert!(ax.approx_eq(&bvec, 1e-2), "corrected factors must still solve");
+        // Strike iteration 0's first trailing tile (rows/cols [b, 2b)), then its U12
+        // band tile (rows [0, b): final U entries the old f32 drivers never offered).
+        for row in [b, 0] {
+            let faults = vec![PlannedFault::tile(row, b, ErrorPattern::ZeroD, 5)];
+            let hook = MixedChecksums::with_faults(ChecksumScheme::Full, b, faults);
+            let struck = lu_blocked_f32(&a, b, &hook).unwrap();
+            assert_eq!(hook.faults_injected(), 1);
+            let out = hook.outcome();
+            assert!(out.total_corrected() >= 1, "the strike must be corrected");
+            assert_eq!(out.uncorrectable, 0);
+            // Correction is rounded through f32, so judge at the solve level: the struck
+            // factors must still solve A x = b to f32-factorization accuracy.
+            let bvec = Matrix::<f32>::from_fn(n, 1, |i, _| (i as f32 / n as f32) - 0.4);
+            let x = lu_solve(&struck.lu, &struck.pivots, &bvec);
+            let ax = blas3::gemm(&a, Trans::No, &x, Trans::No);
+            assert!(ax.approx_eq(&bvec, 1e-2), "corrected factors must still solve");
+        }
     }
 
     #[test]

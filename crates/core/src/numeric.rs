@@ -19,12 +19,15 @@
 //!    dependency-driven task DAG ([`lu::lu_dag_with`], [`cholesky::cholesky_dag_with`],
 //!    [`qr::qr_dag_with`]) with depth-unbounded lookahead: a trailing tile of
 //!    iteration `k + 2` starts the moment its inputs are final, while slow tiles of
-//!    iteration `k` are still in flight;
+//!    iteration `k` are still in flight. [`Precision`] only picks the element type
+//!    of that DAG run: a [`Precision::MixedF32`] job is the same arm at `E = f32`
+//!    (same graph, hooks, recovery ladder and accounting) followed by an f64
+//!    iterative-refinement epilogue;
 //! 3. checksum maintenance rides those tasks through `bsr-abft`'s
-//!    [`FusedTileChecksums`] — every iteration the active scheme protects pays the
-//!    full encode + verify cost, and each sampled SDC event is injected into its
-//!    target tile *between* encode and verify, the window a real silent corruption of
-//!    the update occupies;
+//!    [`FusedTileChecksums`] — one hook for both element types, always computing in
+//!    f64 — every iteration the active scheme protects pays the full encode + verify
+//!    cost, and each sampled SDC event is injected into its target tile *between*
+//!    encode and verify, the window a real silent corruption of the update occupies;
 //! 4. the **measured** wall-clock durations of the panel and update streams are
 //!    charged to a [`Timeline`] (`hetero-sim`) alongside the analytic estimates;
 //! 5. the measured durations are fed back into the slack predictor
@@ -41,16 +44,14 @@ use crate::report::RunReport;
 use crate::trace::SdcEvent;
 use bsr_abft::checksum::{ChecksumScheme, VerifyOutcome};
 use bsr_abft::fused::{FaultTarget, FusedTileChecksums, PerIterationChecksums, PlannedFault};
-use bsr_abft::mixed::{MixedChecksums, MixedPerIterationChecksums};
 use bsr_abft::recover::{RecoveryAction, RecoveryEvent, RecoveryTracker};
-use bsr_linalg::dag::DagExecution;
+use bsr_linalg::dag::{DagExecution, DagTiming};
 use bsr_linalg::generate::{random_matrix, random_spd_matrix};
-use bsr_linalg::lowprec::{self, LowPrecError};
 use bsr_linalg::matrix::{Block, Matrix};
 use bsr_linalg::solve::{cholesky_solve, lu_solve};
 use bsr_linalg::task::{StepTiming, TrailingHook};
 use bsr_linalg::verify::{cholesky_residual, lu_residual, qr_residual, CORRECTNESS_THRESHOLD};
-use bsr_linalg::{blas3, cholesky, lu, qr, Trans};
+use bsr_linalg::{blas3, cholesky, lu, qr, Element, Trans};
 use bsr_sched::workload::Decomposition;
 use hetero_sim::device::DeviceKind;
 use hetero_sim::sdc::FaultMix;
@@ -63,10 +64,11 @@ use std::time::Instant;
 /// Error produced by a numeric-mode run.
 #[derive(Debug)]
 pub enum NumericError {
-    /// The Cholesky panel hit a non-positive pivot (matrix corrupted beyond repair or not
-    /// SPD).
+    /// The Cholesky panel hit a non-positive or non-finite pivot (matrix corrupted
+    /// beyond repair or not SPD — to f32 precision on a mixed-precision run).
     Cholesky(cholesky::CholeskyError),
-    /// The LU panel hit an exactly singular column.
+    /// The LU panel hit an exactly singular or non-finite column (to f32 precision on
+    /// a mixed-precision run).
     Lu(lu::LuError),
     /// The input matrix does not match the configured workload (wrong order, or not
     /// square).
@@ -97,9 +99,6 @@ pub enum NumericError {
         /// The offending decomposition.
         dec: Decomposition,
     },
-    /// The f32 factorization itself failed (singular / not SPD to f32 precision, or
-    /// corrupted beyond the f32 pivot tolerance by an uncorrected fault).
-    LowPrecision(LowPrecError),
 }
 
 impl std::fmt::Display for NumericError {
@@ -124,7 +123,6 @@ impl std::fmt::Display for NumericError {
             NumericError::MixedUnsupported { dec } => {
                 write!(f, "mixed precision is not supported for {dec:?} (LU and Cholesky only)")
             }
-            NumericError::LowPrecision(e) => write!(f, "f32 factorization failed: {e}"),
         }
     }
 }
@@ -143,7 +141,7 @@ pub enum NumericFactors {
     Qr(qr::QrFactors),
     /// Mixed-precision LU: the factors are f32 (the refined f64 solution lives in
     /// the run's [`MixedRefinement`] record, not in the factors).
-    MixedLu(lowprec::LuFactorsF32),
+    MixedLu(lu::LuFactors<f32>),
     /// Mixed-precision Cholesky factor storage, f32.
     MixedCholesky(Matrix<f32>),
 }
@@ -446,13 +444,13 @@ pub fn run_numeric_on(cfg: RunConfig, input: &Matrix) -> Result<NumericRunReport
     result
 }
 
-/// Engine dispatch shared by every execution surface: mixed-precision, stepped
-/// (measured feedback) or whole-run DAG. The caller has already validated the
+/// Engine dispatch shared by every execution surface: stepped (measured feedback)
+/// or whole-run DAG. Mixed-precision runs always take the DAG arm — the steppers are
+/// f64-only, and the refinement epilogue wants the whole factorization anyway — so
+/// `measured_feedback` is ignored for them. The caller has already validated the
 /// input shape.
 pub(crate) fn dispatch(cfg: RunConfig, input: &Matrix) -> Result<NumericRunReport, NumericError> {
-    if cfg.precision == Precision::MixedF32 {
-        run_numeric_mixed(cfg, input)
-    } else if cfg.measured_feedback {
+    if cfg.measured_feedback && cfg.precision == Precision::F64 {
         run_numeric_stepped(cfg, input)
     } else {
         run_numeric_dag(cfg, input)
@@ -606,10 +604,25 @@ fn run_numeric_stepped(
 /// update tasks (they overlap other iterations' tasks, so no single wall-clock phase
 /// contains them), and `checksum_s` is the iteration's fused-hook encode + verify
 /// share of that total.
+///
+/// [`Precision::MixedF32`] runs this same arm at `E = f32`: the input is demoted
+/// once, the generic DAG drivers factor it under the same hooks (which promote each
+/// tile to f64 for the checksum work), and the f64 refinement epilogue ([`refine`])
+/// is appended. What differs, all visible in the report: `numerically_correct` means
+/// *refinement converged to f64 backward error* (the `residual` of the promoted f32
+/// factors is f32-accurate by construction), the timeline ends in a `REFINE` task,
+/// and QR — which has no f32 driver — returns [`NumericError::MixedUnsupported`].
 fn run_numeric_dag(cfg: RunConfig, input: &Matrix) -> Result<NumericRunReport, NumericError> {
     let n = cfg.workload.n;
     let b = cfg.workload.block;
     let dec = cfg.workload.decomposition;
+    let input_f32 = match cfg.precision {
+        Precision::F64 => None,
+        Precision::MixedF32 if dec == Decomposition::Qr => {
+            return Err(NumericError::MixedUnsupported { dec });
+        }
+        Precision::MixedF32 => Some(input.demote()),
+    };
     let mut inject_rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x0bad_5eed);
 
     let mut driver = AnalyticDriver::new(cfg.clone());
@@ -671,19 +684,26 @@ fn run_numeric_dag(cfg: RunConfig, input: &Matrix) -> Result<NumericRunReport, N
                 })
                 .collect(),
         );
-        let (factors, timing) = match dec {
-            Decomposition::Cholesky => {
-                let mut m = input.clone();
-                let timing = cholesky::cholesky_dag_with(&mut m, b, &hook, DagExecution::Pool)
-                    .map_err(NumericError::Cholesky)?;
+        let (factors, timing) = match (dec, &input_f32) {
+            (Decomposition::Cholesky, None) => {
+                let (m, timing) = cholesky_dag(input, b, &hook)?;
                 (NumericFactors::Cholesky(m), timing)
             }
-            Decomposition::Lu => {
+            (Decomposition::Cholesky, Some(a)) => {
+                let (m, timing) = cholesky_dag(a, b, &hook)?;
+                (NumericFactors::MixedCholesky(m), timing)
+            }
+            (Decomposition::Lu, None) => {
                 let (f, timing) = lu::lu_dag_with(input, b, &hook, DagExecution::Pool)
                     .map_err(NumericError::Lu)?;
                 (NumericFactors::Lu(f), timing)
             }
-            Decomposition::Qr => {
+            (Decomposition::Lu, Some(a)) => {
+                let (f, timing) = lu::lu_dag_with(a, b, &hook, DagExecution::Pool)
+                    .map_err(NumericError::Lu)?;
+                (NumericFactors::MixedLu(f), timing)
+            }
+            (Decomposition::Qr, _) => {
                 let (f, timing) = qr::qr_dag_with(input, b, &hook, DagExecution::Pool);
                 (NumericFactors::Qr(f), timing)
             }
@@ -718,7 +738,6 @@ fn run_numeric_dag(cfg: RunConfig, input: &Matrix) -> Result<NumericRunReport, N
     timeline.sync();
 
     let mut measured = Vec::with_capacity(iterations);
-    let mut checksum_cpu_s = 0.0;
     for (k, (preds, analytic, cpu_freq, gpu_freq)) in plans.into_iter().enumerate() {
         let pd_s = timing.panel_s.get(k + 1).copied().unwrap_or(0.0);
         let update_s = timing.update_s.get(k).copied().unwrap_or(0.0);
@@ -726,7 +745,6 @@ fn run_numeric_dag(cfg: RunConfig, input: &Matrix) -> Result<NumericRunReport, N
         timeline.push_task(DeviceKind::Cpu, "PD", k, pd_s, cpu_freq);
         timeline.push_task(DeviceKind::Gpu, "UPDATE", k, update_s, gpu_freq);
         timeline.sync();
-        checksum_cpu_s += iter_checksum_s;
         measured.push(MeasuredIteration {
             k,
             pd_s,
@@ -739,22 +757,43 @@ fn run_numeric_dag(cfg: RunConfig, input: &Matrix) -> Result<NumericRunReport, N
         });
     }
 
-    let verification = hook.outcome();
-    let faults_injected = hook.faults_injected();
+    // --- mixed precision: f64 refinement epilogue --------------------------------------
+    // A final CPU-stream task, so a mixed run's makespan is end-to-end: factor +
+    // protect + refine. Correctness is judged by its convergence, not the residual of
+    // the f32-accurate factors.
+    let mixed = input_f32.is_some().then(|| refine(&cfg, input, &factors));
+    if let Some(m) = &mixed {
+        timeline.push_task(DeviceKind::Cpu, "REFINE", iterations, m.solve_seconds, cpu_base);
+        timeline.sync();
+    }
+
     let report = driver.into_report();
     Ok(NumericRunReport {
-        numerically_correct: residual < CORRECTNESS_THRESHOLD,
+        numerically_correct: mixed.map_or(residual < CORRECTNESS_THRESHOLD, |m| m.converged),
         report,
         factors,
         residual,
-        verification,
-        faults_injected,
+        verification: hook.outcome(),
+        faults_injected: hook.faults_injected(),
         timeline,
         measured,
-        checksum_cpu_s,
+        checksum_cpu_s: hook.checksum_seconds(),
         recovery: tracker.map(|t| t.history()).unwrap_or_default(),
-        mixed: None,
+        mixed,
     })
+}
+
+/// [`cholesky::cholesky_dag_with`] on the pool over a copy of `a`, at either element
+/// type.
+fn cholesky_dag<E: Element>(
+    a: &Matrix<E>,
+    b: usize,
+    hook: &PerIterationChecksums,
+) -> Result<(Matrix<E>, DagTiming), NumericError> {
+    let mut m = a.clone();
+    let timing = cholesky::cholesky_dag_with(&mut m, b, hook, DagExecution::Pool)
+        .map_err(NumericError::Cholesky)?;
+    Ok((m, timing))
 }
 
 /// Maximum correction sweeps of the mixed path's f64 iterative refinement. Clean
@@ -763,101 +802,22 @@ fn run_numeric_dag(cfg: RunConfig, input: &Matrix) -> Result<NumericRunReport, N
 /// factors to precondition (`κ(A)·ε_f32 ≳ 1`).
 const MAX_REFINE_SWEEPS: usize = 10;
 
-/// Mixed-precision path ([`Precision::MixedF32`]): factor in **f32** on the f32
-/// packed kernels (twice the SIMD lanes per vector register), protect every trailing
-/// tile with **f64** checksums ([`MixedChecksums`]: promote → encode → inject →
-/// verify/correct → demote), then recover f64 accuracy with an f64 iterative
-/// refinement sweep against the original input.
-///
-/// Differences from the f64 paths, all visible in the report:
-///
-/// * every iteration is planned up front (the `lowprec` drivers run the whole
-///   factorization in one call, so there is no per-iteration feedback opportunity);
-///   `measured_feedback` is ignored;
-/// * the recovery ladder is not wired in: in-place correction is the only rung, and
-///   anything beyond it (bursts, blowups) surfaces as a non-converging refinement
-///   ([`MixedRefinement::converged`] = `false`) rather than a replay;
-/// * `numerically_correct` means *refinement converged to f64 backward error*; the
-///   `residual` field still reports the factorization residual of the (promoted)
-///   f32 factors, which is f32-accurate by construction;
-/// * QR has no f32 driver and returns [`NumericError::MixedUnsupported`].
-fn run_numeric_mixed(cfg: RunConfig, input: &Matrix) -> Result<NumericRunReport, NumericError> {
+/// The f64 iterative-refinement epilogue of a [`Precision::MixedF32`] run: solve a
+/// deterministic right-hand side (from the run seed) through the f32 `factors`, then
+/// sweep — each sweep solves the f64 residual system through the f32 factors and adds
+/// the correction in f64. The backward error is evaluated *before* each correction,
+/// so `converged` certifies the returned solution, not a predecessor. Uncorrected
+/// strikes and f32 blowups that the recovery ladder did not (or was not enabled to)
+/// repair surface here as `converged = false`.
+fn refine(cfg: &RunConfig, input: &Matrix, factors: &NumericFactors) -> MixedRefinement {
     let n = cfg.workload.n;
-    let b = cfg.workload.block;
-    let dec = cfg.workload.decomposition;
-    if dec == Decomposition::Qr {
-        return Err(NumericError::MixedUnsupported { dec });
-    }
-    let mut inject_rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x0bad_5eed);
-    let mut driver = AnalyticDriver::new(cfg.clone());
-    let iterations = cfg.workload.iterations();
-
-    // --- plan every iteration and sample its SDC events up front -----------------------
-    // Same driver interaction as the DAG path. The f32 drivers offer only the trailing
-    // *square* `[(k+1)·b, n)²` to the hook (the panel — and for LU the U12 band — are
-    // CPU-side panel work there), so the fault plan is drawn over that subset of the
-    // protected tiles.
-    let mut hooks = Vec::with_capacity(iterations);
-    let mut plans = Vec::with_capacity(iterations);
-    for k in 0..iterations {
-        let pending = driver.begin_step(k);
-        let scheme = pending.trace().abft;
-        let tiles: Vec<Block> = protected_tiles(dec, n, b, k)
-            .into_iter()
-            .filter(|t| t.row >= (k + 1) * b)
-            .collect();
-        let panel_col = ((k + 1) * b < n).then(|| (k + 1) * b);
-        let faults = if tiles.is_empty() {
-            Vec::new()
-        } else {
-            plan_faults_with_mix(
-                &pending.trace().sdc_events,
-                &tiles,
-                &mut inject_rng,
-                &cfg.fault_mix,
-                panel_col,
-            )
-        };
-        hooks.push(MixedChecksums::with_faults(scheme, b, faults));
-        plans.push((pending.trace().timing, pending.trace().gpu_freq));
-        driver.finish_step(pending, None);
-    }
-    let hook = MixedPerIterationChecksums::new(hooks);
-
-    // --- f32 factorization with fused f64 protection -----------------------------------
-    let input_f32 = input.demote();
-    let (factors, iter_seconds) = match dec {
-        Decomposition::Lu => {
-            let f = lowprec::lu_blocked_f32(&input_f32, b, &hook)
-                .map_err(NumericError::LowPrecision)?;
-            let iter_seconds = f.iter_seconds.clone();
-            (NumericFactors::MixedLu(f), iter_seconds)
-        }
-        Decomposition::Cholesky => {
-            let mut m = input_f32;
-            let iter_seconds = lowprec::cholesky_blocked_f32(&mut m, b, &hook)
-                .map_err(NumericError::LowPrecision)?;
-            (NumericFactors::MixedCholesky(m), iter_seconds)
-        }
-        Decomposition::Qr => unreachable!("rejected above"),
-    };
-
-    // The factorization residual of the promoted f32 factors: f32-accurate, reported
-    // for comparison against the f64 paths (correctness is judged by refinement).
-    let residual = factorization_residual(input, &factors);
-
-    // --- f64 iterative refinement against the original input ---------------------------
-    // Deterministic right-hand side from the run seed; each sweep solves the f64
-    // residual system through the f32 factors and adds the correction in f64. The
-    // backward error is evaluated *before* each correction, so `converged` certifies
-    // the returned solution, not a predecessor.
     let t_refine = Instant::now();
     let mut rhs_rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x00f3_2d0c);
     let rhs = random_matrix(&mut rhs_rng, n, 1);
     let a_norm = inf_norm(input);
     let b_norm = inf_norm(&rhs);
     let tol = 4.0 * n as f64 * f64::EPSILON;
-    let mut x = mixed_solve(&factors, &rhs);
+    let mut x = mixed_solve(factors, &rhs);
     let mut refine_iters = 0usize;
     let mut backward_error;
     let mut converged = false;
@@ -877,65 +837,19 @@ fn run_numeric_mixed(cfg: RunConfig, input: &Matrix) -> Result<NumericRunReport,
         if !backward_error.is_finite() || refine_iters >= MAX_REFINE_SWEEPS {
             break;
         }
-        let d = mixed_solve(&factors, &r);
+        let d = mixed_solve(factors, &r);
         for (xi, &di) in x.data_mut().iter_mut().zip(d.data()) {
             *xi += di;
         }
         refine_iters += 1;
     }
-    let mixed = MixedRefinement {
+    MixedRefinement {
         refine_iters,
         backward_error,
         tol,
         converged,
         solve_seconds: t_refine.elapsed().as_secs_f64(),
-    };
-
-    // --- timeline and per-iteration record ---------------------------------------------
-    // The lowprec drivers do not separate panel from update work, so each iteration's
-    // whole wall-clock duration is charged to the update stream (`pd_s` = 0, no
-    // predictions — mixed runs plan up front). The refinement sweep is a final
-    // CPU-stream task, making the makespan end-to-end: factor + protect + refine.
-    let cpu_base = driver.platform().cpu.base_freq;
-    let mut timeline = Timeline::new();
-    let mut measured = Vec::with_capacity(iterations);
-    let mut checksum_cpu_s = 0.0;
-    for (k, (analytic, gpu_freq)) in plans.into_iter().enumerate() {
-        let update_s = iter_seconds.get(k).copied().unwrap_or(0.0);
-        let iter_checksum_s = hook.hook(k).checksum_seconds();
-        timeline.push_task(DeviceKind::Gpu, "UPDATE", k, update_s, gpu_freq);
-        timeline.sync();
-        checksum_cpu_s += iter_checksum_s;
-        measured.push(MeasuredIteration {
-            k,
-            pd_s: 0.0,
-            update_s,
-            checksum_s: iter_checksum_s,
-            predicted_pd_s: None,
-            predicted_update_s: None,
-            analytic_pd_s: analytic.pd_s,
-            analytic_update_s: analytic.pu_s + analytic.tmu_s + analytic.abft_s,
-        });
     }
-    timeline.push_task(DeviceKind::Cpu, "REFINE", iterations, mixed.solve_seconds, cpu_base);
-    timeline.sync();
-
-    let verification = hook.outcome();
-    let faults_injected = hook.faults_injected();
-    let report = driver.into_report();
-    Ok(NumericRunReport {
-        numerically_correct: mixed.converged,
-        report,
-        factors,
-        residual,
-        verification,
-        faults_injected,
-        timeline,
-        measured,
-        checksum_cpu_s,
-        recovery: Vec::new(),
-        mixed: Some(mixed),
-    })
 }
 
 /// ∞-norm: maximum absolute row sum (for an `n × 1` column this is the vector
@@ -1344,6 +1258,32 @@ mod tests {
             e = mixed.backward_error,
             n = out.faults_injected
         );
+    }
+
+    #[test]
+    fn non_finite_cholesky_pivot_is_a_structured_error_on_every_arm() {
+        let mut rng = ChaCha8Rng::seed_from_u64(14);
+        let spd = random_spd_matrix(&mut rng, 32);
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut input = spd.clone();
+            input.set(20, 20, bad);
+            for (feedback, precision) in
+                [(true, Precision::F64), (false, Precision::F64), (false, Precision::MixedF32)]
+            {
+                let cfg = RunConfig::small(Decomposition::Cholesky, 32, 8, Strategy::Original)
+                    .with_fault_injection(false)
+                    .with_measured_feedback(feedback)
+                    .with_precision(precision);
+                let err = run_numeric_on(cfg, &input).map(|r| r.residual);
+                assert!(
+                    matches!(
+                        err,
+                        Err(NumericError::Cholesky(cholesky::CholeskyError::NotPositiveDefinite(20)))
+                    ),
+                    "pivot {bad}, feedback {feedback}, {precision:?}: got {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

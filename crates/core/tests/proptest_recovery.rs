@@ -21,7 +21,10 @@
 //!   sampled SDC schedule, depend on host wall-clock noise by design) every run
 //!   still honors the per-run contract above, at every thread count;
 //! * persistent faults (re-striking on every recomputation) are detected as such
-//!   and escalate to a structured failure instead of looping or lying.
+//!   and escalate to a structured failure instead of looping or lying;
+//! * a `Precision::MixedF32` run is the DAG runtime at `E = f32`, so it climbs the
+//!   same ladder under the same contract (bit-identical to a clean f32 run, then
+//!   refined to f64 backward error, or a structured failure).
 //!
 //! The campaign *must* overclock: SDC rates are identically zero under the
 //! default guardband (`SdcModel::rate` models the paper's stock machine as
@@ -37,9 +40,10 @@
 
 use bsr_abft::checksum::ChecksumScheme;
 use bsr_abft::recover::{RecoveryAction, RecoveryEvent, RecoveryPolicy};
-use bsr_core::config::{AbftMode, RunConfig};
+use bsr_core::config::{AbftMode, Precision, RunConfig};
 use bsr_core::numeric::{run_numeric_on, NumericError, NumericFactors, NumericRunReport};
-use bsr_linalg::generate::{random_matrix, random_spd_matrix};
+use bsr_linalg::dag::DagExecution;
+use bsr_linalg::generate::{random_diag_dominant_matrix, random_matrix, random_spd_matrix};
 use bsr_linalg::matrix::Matrix;
 use bsr_linalg::{cholesky, lu, qr};
 use bsr_sched::strategy::{BsrConfig, Strategy as EnergyStrategy};
@@ -594,6 +598,84 @@ fn persistent_faults_escalate_to_structured_failure() {
                 out.residual
             ),
             Err(e) => panic!("{label}: expected UnrecoverableFault, got {e}"),
+        }
+    }
+}
+
+/// Mixed-precision runs ride the same DAG arm, hooks and tracker as f64 runs, so a
+/// beyond-`Full` burst is rolled back and recomputed there too: the f32 factors come
+/// out bit-identical to a clean f32 run, refinement converges to f64 backward error,
+/// and the outcome does not depend on the thread count — or the run fails
+/// structurally with its history. Before the engine arms were unified a mixed run
+/// ignored the recovery policy and returned the struck factors.
+#[test]
+fn mixed_precision_runs_climb_the_same_recovery_ladder() {
+    let (n, b) = (80, 16);
+    let bursts = FaultMix { burst: 1.0, ..FaultMix::default() };
+    for dec in [Decomposition::Lu, Decomposition::Cholesky] {
+        let hot = |seed| {
+            chaos_cfg_for(dec, n, b, seed, false, ChecksumScheme::Full, bursts)
+                .with_precision(Precision::MixedF32)
+        };
+        // Vacuity probe, recovery off: the seed must land bursts `Full` cannot fix.
+        let (seed, input) = [41u64, 42, 43, 44, 45]
+            .into_iter()
+            .find_map(|seed| {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let input = match dec {
+                    Decomposition::Cholesky => random_spd_matrix(&mut rng, n),
+                    _ => random_diag_dominant_matrix(&mut rng, n),
+                };
+                let mut probe = hot(seed);
+                probe.recovery = RecoveryPolicy::default();
+                // (A struck Cholesky may also stop being positive definite and fail
+                // outright with recovery off; such a seed is simply skipped.)
+                run_watched(probe, &input, format!("mixed probe {dec:?} {seed}"))
+                    .ok()
+                    .filter(|p| p.faults_injected > 0 && p.verification.uncorrectable > 0)
+                    .map(|_| (seed, input))
+            })
+            .expect("no probe seed observed an uncorrectable mixed-precision strike");
+
+        let input_f32 = input.demote();
+        let mut first: Option<Result<Vec<RecoveryEvent>, Vec<RecoveryEvent>>> = None;
+        for t in [1usize, 4] {
+            let _guard = ThreadCountGuard::set(t);
+            let label = format!("mixed recovery {dec:?} n={n} b={b} seed={seed} t={t}");
+            let outcome = match run_watched(hot(seed), &input, label.clone()) {
+                Ok(out) => {
+                    let mixed = out.mixed.expect("mixed runs carry a refinement record");
+                    assert!(out.numerically_correct && mixed.converged, "{label}: not converged");
+                    assert!(mixed.backward_error <= mixed.tol, "{label}: bad solution");
+                    assert_eq!(out.verification.uncorrectable, 0, "{label}: dirty verification");
+                    assert!(!out.recovery.is_empty(), "{label}: the ladder was never used");
+                    match out.factors {
+                        NumericFactors::MixedLu(f) => {
+                            let (clean, _) =
+                                lu::lu_dag_with(&input_f32, b, &(), DagExecution::Pool).unwrap();
+                            assert!(f.lu == clean.lu, "{label}: factors not bit-identical");
+                            assert_eq!(f.pivots, clean.pivots, "{label}: pivots differ");
+                        }
+                        NumericFactors::MixedCholesky(m) => {
+                            let mut clean = input_f32.clone();
+                            cholesky::cholesky_dag_with(&mut clean, b, &(), DagExecution::Pool)
+                                .unwrap();
+                            assert!(m == clean, "{label}: factors not bit-identical");
+                        }
+                        other => panic!("{label}: mixed run produced {other:?}"),
+                    }
+                    Ok(out.recovery)
+                }
+                Err(NumericError::UnrecoverableFault { history }) => {
+                    assert!(!history.is_empty(), "{label}: empty failure history");
+                    Err(history)
+                }
+                Err(e) => panic!("{label}: expected recovery or UnrecoverableFault, got: {e}"),
+            };
+            match &first {
+                None => first = Some(outcome),
+                Some(f) => assert_eq!(f, &outcome, "{label}: outcome depends on thread count"),
+            }
         }
     }
 }

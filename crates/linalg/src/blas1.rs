@@ -1,7 +1,10 @@
 //! Level-1 BLAS style helpers on slices.
 //!
 //! These are the scalar building blocks of the panel factorizations; the heavy lifting is
-//! done by the level-3 kernels in [`crate::blas3`].
+//! done by the level-3 kernels in [`crate::blas3`]. The three the slice-native panel
+//! kernels are built from ([`axpy`], [`scal`], [`iamax`]) are generic over [`Element`].
+
+use crate::elem::Element;
 
 /// Dot product of two equally long slices.
 #[inline]
@@ -12,16 +15,16 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
 
 /// `y += alpha * x`.
 #[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+pub fn axpy<E: Element>(alpha: E, x: &[E], y: &mut [E]) {
     debug_assert_eq!(x.len(), y.len());
-    for (yi, xi) in y.iter_mut().zip(x) {
+    for (yi, &xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
     }
 }
 
 /// `x *= alpha`.
 #[inline]
-pub fn scal(alpha: f64, x: &mut [f64]) {
+pub fn scal<E: Element>(alpha: E, x: &mut [E]) {
     for xi in x {
         *xi *= alpha;
     }
@@ -49,10 +52,10 @@ pub fn nrm2(x: &[f64]) -> f64 {
 ///   (e.g. the LU panel) still have to test the selected element themselves — `NaN`
 ///   compares unequal to `0.0`, so a plain zero check does not catch it.
 #[inline]
-pub fn iamax(x: &[f64]) -> usize {
+pub fn iamax<E: Element>(x: &[E]) -> usize {
     let mut best = 0;
     // Any finite |v| (including 0.0) beats the initial -1.0; NaN beats nothing.
-    let mut best_val = -1.0;
+    let mut best_val = -E::ONE;
     for (i, &v) in x.iter().enumerate() {
         if v.abs() > best_val {
             best_val = v.abs();
@@ -100,7 +103,7 @@ mod tests {
 
     #[test]
     fn iamax_empty_slice_returns_zero() {
-        assert_eq!(iamax(&[]), 0);
+        assert_eq!(iamax::<f64>(&[]), 0);
     }
 
     #[test]

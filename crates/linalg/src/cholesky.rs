@@ -12,6 +12,7 @@ use crate::blas3::{
     trsm_right_lower_trans_cols, Diag, PackedA, Side, Trans, UpLo,
 };
 use crate::dag::{group_bounds, DagBuilder, DagExecution, DagTiming, TaskOutcome};
+use crate::elem::Element;
 use crate::matrix::{Block, Matrix};
 use crate::task::{
     restore_rows, snapshot_rows, split_tiles, split_tiles_at, StepTiming, TileCols, TileVerdict,
@@ -26,7 +27,7 @@ use std::time::Instant;
 pub enum CholeskyError {
     /// The input matrix is not square.
     NotSquare,
-    /// A non-positive pivot was encountered at the given global index.
+    /// A non-positive or non-finite pivot was encountered at the given global index.
     NotPositiveDefinite(usize),
 }
 
@@ -57,7 +58,9 @@ pub fn potf2(a: &mut Matrix, j0: usize, nb: usize) -> Result<(), CholeskyError> 
         }
         let col_j = a.col_range_mut(j, j, jend);
         let d = col_j[0];
-        if d <= 0.0 {
+        // `d <= 0` alone is false for NaN and +Inf, which would sqrt/scale straight
+        // into non-finite factors.
+        if d <= 0.0 || !d.is_finite() {
             return Err(CholeskyError::NotPositiveDefinite(j));
         }
         let d = d.sqrt();
@@ -179,7 +182,10 @@ impl CholeskyFactors {
 /// the tile's column slices (no extract/write-back round trip) — a lookahead task
 /// touches nothing but its own column group. Operation-for-operation identical to
 /// [`potf2`] + [`panel_update`], so the bits match.
-fn factor_panel_tile(tile: &mut TileCols<'_>, row0: usize) -> Result<(), CholeskyError> {
+fn factor_panel_tile<E: Element>(
+    tile: &mut TileCols<'_, E>,
+    row0: usize,
+) -> Result<(), CholeskyError> {
     use crate::task::{col_pair, extract_cols};
     let n = tile.rows();
     let nb = tile.width();
@@ -194,12 +200,13 @@ fn factor_panel_tile(tile: &mut TileCols<'_>, row0: usize) -> Result<(), Cholesk
         }
         let col_j = &mut cols[j][row0 + j..jend];
         let d = col_j[0];
-        if d <= 0.0 {
+        // Same rejection as [`potf2`]: NaN and +Inf pivots are not positive definite.
+        if d <= E::ZERO || !d.is_finite() {
             return Err(CholeskyError::NotPositiveDefinite(row0 + j));
         }
         let d = d.sqrt();
         col_j[0] = d;
-        scal(1.0 / d, &mut col_j[1..]);
+        scal(E::ONE / d, &mut col_j[1..]);
     }
     // Panel update (TRSM): A21 ← A21 · L11⁻ᵀ on the rows below the diagonal block.
     if jend < n {
@@ -218,14 +225,14 @@ fn factor_panel_tile(tile: &mut TileCols<'_>, row0: usize) -> Result<(), Cholesk
 /// contents before the verdict is passed to the caller, so simply calling again
 /// re-runs the identical update from clean inputs.
 #[allow(clippy::too_many_arguments)] // mirrors the per-iteration operand set
-fn chol_update_tile(
-    tile: &mut TileCols<'_>,
+fn chol_update_tile<E: Element>(
+    tile: &mut TileCols<'_, E>,
     iter: usize,
     j0: usize,
     nb: usize,
-    a21: &Matrix,
-    a21p: &PackedA,
-    hook: &dyn TrailingHook,
+    a21: &Matrix<E>,
+    a21p: &PackedA<E>,
+    hook: &dyn TrailingHook<E>,
 ) -> TileVerdict {
     let cb0 = tile.col0;
     let snap = hook.wants_snapshots().then(|| snapshot_rows(&tile.cols, cb0, tile.width()));
@@ -238,7 +245,7 @@ fn chol_update_tile(
     let off = cb0 - (j0 + nb);
     let verdict = {
         let mut sub = tile.rows_from(cb0);
-        if off.is_multiple_of(<f64 as crate::elem::Element>::MR) {
+        if off.is_multiple_of(E::MR) {
             gemm_acc_cols_prepacked(-1.0, a21p, off, a21, Trans::Yes, off, &mut sub, true);
         } else {
             gemm_acc_cols(-1.0, a21, Trans::No, off, a21, Trans::Yes, off, &mut sub, true);
@@ -258,11 +265,11 @@ fn chol_update_tile(
 /// factor the panel in place (`potf2` + TRSM), then offer the fresh panel to the
 /// hook. On [`TileVerdict::Recompute`] the panel rows are restored and `None` is
 /// returned — the caller refactors from the identical pre-attempt state.
-fn chol_panel_attempt(
-    tile: &mut TileCols<'_>,
+fn chol_panel_attempt<E: Element>(
+    tile: &mut TileCols<'_, E>,
     iter: usize,
     row0: usize,
-    hook: &dyn TrailingHook,
+    hook: &dyn TrailingHook<E>,
 ) -> Option<Result<(), CholeskyError>> {
     let snap = hook.wants_snapshots().then(|| snapshot_rows(&tile.cols, row0, tile.width()));
     let col0 = tile.col0;
@@ -464,9 +471,9 @@ impl CholeskyTiledStepper {
 /// Operands panel `k` publishes for its trailing-update consumers: the `A21` copy and
 /// its packed form, shared read-only by every `Update(k, ·)` task. Bit-identical to
 /// the barrier stepper's per-iteration copies.
-struct CholPanelOps {
-    a21: Matrix,
-    a21p: PackedA,
+struct CholPanelOps<E: Element> {
+    a21: Matrix<E>,
+    a21p: PackedA<E>,
 }
 
 /// Dependency-driven DAG Cholesky with depth-unbounded panel lookahead.
@@ -482,10 +489,14 @@ pub fn cholesky_dag(a: &mut Matrix, block: usize) -> Result<(), CholeskyError> {
 
 /// [`cholesky_dag`] with a [`TrailingHook`] fused into every trailing tile task and an
 /// explicit [`DagExecution`] mode; returns the per-task measured [`DagTiming`].
-pub fn cholesky_dag_with(
-    a: &mut Matrix,
+///
+/// Generic over the [`Element`] type: the mixed-precision path is this driver at
+/// `E = f32` (same graph, same hook call sites, same retry protocol), and the
+/// bit-identity guarantees above hold per element type.
+pub fn cholesky_dag_with<E: Element>(
+    a: &mut Matrix<E>,
     block: usize,
-    hook: &dyn TrailingHook,
+    hook: &dyn TrailingHook<E>,
     exec: DagExecution,
 ) -> Result<DagTiming, CholeskyError> {
     if !a.is_square() {
@@ -526,12 +537,12 @@ pub fn cholesky_dag_with(
             task_of.push((grp, p));
         }
     }
-    let ops: Vec<OnceLock<CholPanelOps>> = (0..g).map(|_| OnceLock::new()).collect();
+    let ops: Vec<OnceLock<CholPanelOps<E>>> = (0..g).map(|_| OnceLock::new()).collect();
     let failed = AtomicBool::new(false);
     let error: Mutex<Option<CholeskyError>> = Mutex::new(None);
     let panel_nanos: Vec<AtomicU64> = (0..g).map(|_| AtomicU64::new(0)).collect();
     let update_nanos: Vec<AtomicU64> = (0..g).map(|_| AtomicU64::new(0)).collect();
-    let tiles: Vec<Mutex<TileCols<'_>>> =
+    let tiles: Vec<Mutex<TileCols<'_, E>>> =
         split_tiles_at(a, &bounds).into_iter().map(Mutex::new).collect();
     crate::dag::execute(builder, exec, &format!("cholesky n={n} b={block}"), |id| {
         let (grp, p) = task_of[id];
@@ -661,6 +672,30 @@ mod tests {
         let mut a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]); // eigenvalues 3, -1
         let err = cholesky_blocked(&mut a, 2).unwrap_err();
         assert!(matches!(err, CholeskyError::NotPositiveDefinite(_)));
+    }
+
+    #[test]
+    fn non_finite_pivots_are_rejected_by_every_driver() {
+        // `d <= 0` is false for NaN and +Inf: every driver used to return Ok(()) with
+        // non-finite factors here.
+        let mut rng = ChaCha8Rng::seed_from_u64(14);
+        let spd = random_spd_matrix(&mut rng, 32);
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut a0 = spd.clone();
+            a0.set(20, 20, bad);
+            let want = Err(CholeskyError::NotPositiveDefinite(20));
+            assert_eq!(cholesky_blocked(&mut a0.clone(), 8), want, "blocked, {bad}");
+            let stepped = CholeskyTiledStepper::new(a0.clone(), 8).and_then(|mut s| {
+                for k in 0..s.iterations() {
+                    s.step(k, &())?;
+                }
+                Ok(())
+            });
+            assert_eq!(stepped, want, "stepper, {bad}");
+            assert_eq!(cholesky_dag(&mut a0.clone(), 8), want, "dag f64, {bad}");
+            let f32_run = cholesky_dag_with(&mut a0.demote(), 8, &(), DagExecution::Pool);
+            assert_eq!(f32_run.map(|_| ()), want, "dag f32, {bad}");
+        }
     }
 
     #[test]

@@ -80,6 +80,12 @@ pub trait Element:
     fn sqrt(self) -> Self;
     /// True for finite (non-NaN, non-infinite) values.
     fn is_finite(self) -> bool;
+    /// The column slices themselves when `Self` is `f64`, `None` for every narrower
+    /// type: code whose arithmetic is pinned to f64 (the ABFT checksum hooks) works
+    /// on f64 data in place and promotes a copy only when this returns `None`.
+    fn as_f64_cols<'a, 'b>(_cols: &'a mut [&'b mut [Self]]) -> Option<&'a mut [&'b mut [f64]]> {
+        None
+    }
 
     /// `acc[j * MR + i] = Σ_k ap[k * MR + i] * bp[k * NR + j]` over one packed
     /// micro-panel pair; `acc[..MR * NR]` is overwritten. Dispatches to the best
@@ -201,6 +207,10 @@ impl Element for f64 {
     #[inline]
     fn is_finite(self) -> bool {
         f64::is_finite(self)
+    }
+    #[inline]
+    fn as_f64_cols<'a, 'b>(cols: &'a mut [&'b mut [f64]]) -> Option<&'a mut [&'b mut [f64]]> {
+        Some(cols)
     }
 
     #[inline]

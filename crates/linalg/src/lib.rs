@@ -19,9 +19,13 @@
 //!   persistent rayon pool, bit-identically to the synchronous paths, and
 //!   dependency-driven DAG drivers (`lu_dag` / `cholesky_dag` / `qr_dag`) that replace
 //!   the per-iteration barrier with per-tile dependency counters for depth-unbounded
-//!   lookahead — still bit-identical at any thread count,
+//!   lookahead — still bit-identical at any thread count. The LU and Cholesky DAG
+//!   drivers (and the tile tasks and panel kernels beneath them) are generic over
+//!   [`Element`]: the element type is all that separates an f64 run from the
+//!   mixed-precision path's f32 run,
 //! * [`task`] — the tile-column task machinery beneath the tiled drivers and the
-//!   [`task::TrailingHook`] fusion point ABFT checksum maintenance rides on,
+//!   [`task::TrailingHook`] fusion point (one trait, `TrailingHook<E>`) ABFT checksum
+//!   maintenance rides on,
 //! * [`dag`] — the dependency-counter runtime beneath the DAG drivers, including the
 //!   seeded adversarial replay executor the schedule-fuzzing suite pins determinism
 //!   with,
@@ -31,7 +35,7 @@
 //! * [`tune`] — the startup autotuner that picks cache-blocking parameters (`NC`, `KC`,
 //!   `MC`) and the pool-dispatch crossover per (host, element type), cached under
 //!   `target/` and disabled with `BSR_AUTOTUNE=0` for bit-reproducible runs,
-//! * [`lowprec`] — f32 blocked LU/Cholesky panels for the mixed-precision path,
+//! * [`lowprec`] — the `f32` names of the generic DAG drivers (no code of its own),
 //! * [`solve`] — triangular-solve front-ends (`lu_solve` / `cholesky_solve`) shared by
 //!   the f64 and mixed-precision drivers,
 //! * [`generate`] — reproducible random inputs,

@@ -1,316 +1,65 @@
-//! Low-precision (f32) blocked factorizations for the mixed-precision engine path.
+//! The f32 entry points of the mixed-precision path.
 //!
-//! The paper-style mixed-precision pipeline factors the matrix in f32 — the packed
-//! kernel core packs twice the rows per vector register ([`crate::elem`]) — and then
-//! recovers f64 accuracy with iterative refinement against the f32 factors
-//! ([`crate::solve`]). These drivers are deliberately simple right-looking blocked
-//! algorithms: the panel is factored unblocked, row interchanges are applied to full
-//! rows immediately (no deferred `laswp` region), and the trailing update runs through
-//! the generic packed GEMM/SYRK core, which parallelizes internally over column strips.
-//!
-//! [`TrailingHookF32`] is the ABFT fusion point: `bsr-abft` implements it to promote
-//! each freshly updated trailing tile to f64, verify the checksum relation there, and
-//! correct in place — so checksum maintenance sees every trailing update at the same
-//! point in the schedule as the f64 drivers' [`crate::task::TrailingHook`].
+//! There is no separate low-precision driver: the mixed-precision pipeline factors in
+//! f32 — the packed kernel core packs twice the rows per vector register
+//! ([`crate::elem`]) — on the *same* `Element`-generic DAG drivers every f64 run uses
+//! ([`lu_dag_with`], [`cholesky_dag_with`]), with the same [`TrailingHook`] call sites,
+//! and then recovers f64 accuracy with iterative refinement against the f32 factors
+//! ([`crate::solve`]). This module only names the `E = f32` instantiations; the names
+//! are kept because the frozen `benchmark/` crate imports them.
 
-use crate::blas3::{gemm_into_block, syrk_lower_into_block, trsm_into_block, with_block_cols};
-use crate::matrix::{Block, Matrix};
-use crate::{Diag, Side, Trans, UpLo};
+use crate::cholesky::{cholesky_dag_with, CholeskyError};
+use crate::dag::{DagExecution, DagTiming};
+use crate::lu::{lu_dag_with, LuError, LuFactors};
+use crate::matrix::Matrix;
+use crate::task::TrailingHook;
 
-/// Why an f32 factorization failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LowPrecError {
-    /// The input matrix was not square.
-    NotSquare,
-    /// LU hit an exactly-zero pivot column (matrix singular to f32 precision).
-    Singular {
-        /// Column at which the zero pivot appeared.
-        col: usize,
-    },
-    /// Cholesky hit a non-positive diagonal (matrix not SPD to f32 precision).
-    NotPositiveDefinite {
-        /// Column at which positive definiteness failed.
-        col: usize,
-    },
-}
+/// f32 LU factors: [`LuFactors`] at `E = f32` (alias kept for `benchmark/`).
+pub type LuFactorsF32 = LuFactors<f32>;
 
-impl std::fmt::Display for LowPrecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LowPrecError::NotSquare => write!(f, "matrix is not square"),
-            LowPrecError::Singular { col } => {
-                write!(f, "zero pivot in column {col} (singular in f32)")
-            }
-            LowPrecError::NotPositiveDefinite { col } => {
-                write!(f, "non-positive diagonal at column {col} (not SPD in f32)")
-            }
-        }
-    }
-}
-
-impl std::error::Error for LowPrecError {}
-
-/// Observer fused after every trailing-block update of the f32 drivers.
-///
-/// Called once per (iteration, tile column group) with the mutable trailing rows
-/// `[row0, n)` of columns `[col0, col0 + cols.len())` — the exact data the next
-/// iteration's panel will consume. Implementations may correct elements in place
-/// (that is how ABFT repairs f32 tiles) but must confine themselves to the given
-/// slices.
-pub trait TrailingHookF32: Sync {
-    /// Inspect (and possibly correct) one freshly updated trailing tile.
-    fn after_tile_update(&self, iter: usize, col0: usize, row0: usize, cols: &mut [&mut [f32]]);
-}
-
-/// The no-op hook: plain f32 factorizations run with `&()`.
-impl TrailingHookF32 for () {
-    fn after_tile_update(&self, _: usize, _: usize, _: usize, _: &mut [&mut [f32]]) {}
-}
-
-/// Result of an f32 LU factorization, mirroring [`crate::lu::LuFactors`].
-#[derive(Debug, Clone)]
-pub struct LuFactorsF32 {
-    /// Combined L/U storage (unit lower triangle = L without its diagonal).
-    pub lu: Matrix<f32>,
-    /// Pivot rows, one per column.
-    pub pivots: Vec<usize>,
-    /// Measured wall-clock seconds of each blocked iteration (panel + trailing
-    /// update + hook), for the engine's per-iteration accounting.
-    pub iter_seconds: Vec<f64>,
-}
-
-/// Blocked f32 LU factorization with partial pivoting.
-///
-/// Interchanges are applied to full rows as they are found, so `lu` holds the factors
-/// of `P A` directly and `pivots` replays as LAPACK `ipiv` (swap row `i` with
-/// `pivots[i]`, in order). `hook` fires after each iteration's trailing update, once
-/// per `block`-wide tile column group.
+/// [`lu_dag_with`] at `E = f32` on the pool (name kept for `benchmark/`; "blocked"
+/// is historical — this is the tile-task DAG driver).
 pub fn lu_blocked_f32(
     a: &Matrix<f32>,
     block: usize,
-    hook: &dyn TrailingHookF32,
-) -> Result<LuFactorsF32, LowPrecError> {
-    if !a.is_square() {
-        return Err(LowPrecError::NotSquare);
-    }
-    assert!(block > 0, "block size must be positive");
-    let n = a.rows();
-    let mut lu = a.clone();
-    let mut pivots = Vec::with_capacity(n);
-    let mut iter_seconds = Vec::new();
-    let mut j0 = 0;
-    let mut iter = 0;
-    while j0 < n {
-        let t0 = std::time::Instant::now();
-        let nb = block.min(n - j0);
-        let j1 = j0 + nb;
-
-        // Unblocked panel factorization on contiguous column slices (the indexed
-        // `get`/`set` form pays a bounds check per element and defeats
-        // vectorization of the rank-1 updates). Interchanges apply to the panel
-        // columns immediately (the rank-1 updates need them); the columns outside
-        // the panel get the whole panel's swaps in one batched sweep afterwards —
-        // per-pivot full-row swaps stride the column-major backing across the
-        // entire matrix, while the batch applies all `nb` swaps to each column
-        // while it is hot.
-        let mut panel_swaps: Vec<(usize, usize)> = Vec::with_capacity(nb);
-        let singular =
-            with_block_cols(&mut lu, Block::new(0, j0, n, nb), |cols| -> Option<usize> {
-                for jj in 0..nb {
-                    let j = j0 + jj;
-                    let (mut best, mut piv) = (cols[jj][j].abs(), j);
-                    for (off, v) in cols[jj][j + 1..].iter().enumerate() {
-                        if v.abs() > best {
-                            best = v.abs();
-                            piv = j + 1 + off;
-                        }
-                    }
-                    if best == 0.0 {
-                        return Some(j);
-                    }
-                    if piv != j {
-                        for col in cols.iter_mut() {
-                            col.swap(j, piv);
-                        }
-                        panel_swaps.push((j, piv));
-                    }
-                    pivots.push(piv);
-                    let d = cols[jj][j];
-                    for v in &mut cols[jj][j + 1..] {
-                        *v /= d;
-                    }
-                    let (done, rest) = cols.split_at_mut(jj + 1);
-                    let pivcol = &done[jj][j + 1..];
-                    for col in rest.iter_mut() {
-                        let u = col[j];
-                        if u != 0.0 {
-                            for (x, &l) in col[j + 1..].iter_mut().zip(pivcol) {
-                                *x -= l * u;
-                            }
-                        }
-                    }
-                }
-                None
-            });
-        if let Some(col) = singular {
-            return Err(LowPrecError::Singular { col });
-        }
-
-        // Replay the panel's interchanges on the columns to the left (finished L)
-        // and to the right (not yet factored), one batched pass per column.
-        if !panel_swaps.is_empty() {
-            for (range_col, range_w) in [(0, j0), (j1, n - j1)] {
-                if range_w > 0 {
-                    with_block_cols(&mut lu, Block::new(0, range_col, n, range_w), |cols| {
-                        for col in cols.iter_mut() {
-                            for &(j, piv) in &panel_swaps {
-                                col.swap(j, piv);
-                            }
-                        }
-                    });
-                }
-            }
-        }
-
-        if j1 < n {
-            // U12 = L11^{-1} A12 through the blocked TRSM.
-            let l11 = lu.copy_block(Block::new(j0, j0, nb, nb));
-            trsm_into_block(
-                Side::Left,
-                UpLo::Lower,
-                Trans::No,
-                Diag::Unit,
-                1.0,
-                &l11,
-                &mut lu,
-                Block::new(j0, j1, nb, n - j1),
-            );
-            // A22 -= L21 * U12 through the packed parallel GEMM core.
-            let l21 = lu.copy_block(Block::new(j1, j0, n - j1, nb));
-            let u12 = lu.copy_block(Block::new(j0, j1, nb, n - j1));
-            gemm_into_block(
-                -1.0,
-                &l21,
-                Trans::No,
-                &u12,
-                Trans::No,
-                1.0,
-                &mut lu,
-                Block::new(j1, j1, n - j1, n - j1),
-            );
-            offer_trailing_tiles(&mut lu, j1, block, iter, hook);
-        }
-        iter_seconds.push(t0.elapsed().as_secs_f64());
-        j0 = j1;
-        iter += 1;
-    }
-    Ok(LuFactorsF32 { lu, pivots, iter_seconds })
+    hook: &dyn TrailingHook<f32>,
+) -> Result<LuFactorsF32, LuError> {
+    lu_dag_with(a, block, hook, DagExecution::Pool).map(|(f, _)| f)
 }
 
-/// Blocked f32 Cholesky factorization (lower), in place on `a`.
-///
-/// Only the lower triangle is referenced and written. `hook` fires after each
-/// iteration's trailing SYRK, once per `block`-wide tile column group of the trailing
-/// lower triangle. Returns the measured wall-clock seconds of each blocked iteration.
+/// [`cholesky_dag_with`] at `E = f32` on the pool, in place on `a` (name kept for
+/// `benchmark/`; "blocked" is historical — this is the tile-task DAG driver).
 pub fn cholesky_blocked_f32(
     a: &mut Matrix<f32>,
     block: usize,
-    hook: &dyn TrailingHookF32,
-) -> Result<Vec<f64>, LowPrecError> {
-    if !a.is_square() {
-        return Err(LowPrecError::NotSquare);
-    }
-    assert!(block > 0, "block size must be positive");
-    let n = a.rows();
-    let mut iter_seconds = Vec::new();
-    let mut j0 = 0;
-    let mut iter = 0;
-    while j0 < n {
-        let t0 = std::time::Instant::now();
-        let nb = block.min(n - j0);
-        let j1 = j0 + nb;
-
-        // Unblocked potf2 on the diagonal block (trailing updates already applied).
-        for j in j0..j1 {
-            let mut d = a.get(j, j);
-            for k in j0..j {
-                let v = a.get(j, k);
-                d -= v * v;
-            }
-            if d <= 0.0 || !d.is_finite() {
-                return Err(LowPrecError::NotPositiveDefinite { col: j });
-            }
-            let d = d.sqrt();
-            a.set(j, j, d);
-            for i in j + 1..j1 {
-                let mut s = a.get(i, j);
-                for k in j0..j {
-                    s -= a.get(i, k) * a.get(j, k);
-                }
-                a.set(i, j, s / d);
-            }
-        }
-
-        if j1 < n {
-            // L21 = A21 L11^{-T} through the blocked TRSM.
-            let l11 = a.copy_block(Block::new(j0, j0, nb, nb));
-            trsm_into_block(
-                Side::Right,
-                UpLo::Lower,
-                Trans::Yes,
-                Diag::NonUnit,
-                1.0,
-                &l11,
-                a,
-                Block::new(j1, j0, n - j1, nb),
-            );
-            // A22 -= L21 L21^T on the lower triangle through the masked SYRK.
-            let l21 = a.copy_block(Block::new(j1, j0, n - j1, nb));
-            syrk_lower_into_block(-1.0, &l21, 1.0, a, Block::new(j1, j1, n - j1, n - j1));
-            offer_trailing_tiles(a, j1, block, iter, hook);
-        }
-        iter_seconds.push(t0.elapsed().as_secs_f64());
-        j0 = j1;
-        iter += 1;
-    }
-    Ok(iter_seconds)
-}
-
-/// Offer the trailing block (rows and columns `[j1, n)`) to the hook, one
-/// `block`-wide tile column group at a time.
-fn offer_trailing_tiles(
-    a: &mut Matrix<f32>,
-    j1: usize,
-    block: usize,
-    iter: usize,
-    hook: &dyn TrailingHookF32,
-) {
-    let n = a.rows();
-    let mut col0 = j1;
-    while col0 < n {
-        let w = block.min(n - col0);
-        with_block_cols(a, Block::new(j1, col0, n - j1, w), |cols| {
-            hook.after_tile_update(iter, col0, j1, cols);
-        });
-        col0 += w;
-    }
+    hook: &dyn TrailingHook<f32>,
+) -> Result<DagTiming, CholeskyError> {
+    cholesky_dag_with(a, block, hook, DagExecution::Pool)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blas3::gemm;
+    use crate::blas3::{gemm, Trans};
     use crate::generate::{random_diag_dominant_matrix, random_spd_matrix};
     use crate::solve::{cholesky_solve, lu_solve};
+    use crate::task::TileVerdict;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     struct CountingHook(AtomicUsize);
-    impl TrailingHookF32 for CountingHook {
-        fn after_tile_update(&self, _: usize, _: usize, _: usize, cols: &mut [&mut [f32]]) {
+    impl TrailingHook<f32> for CountingHook {
+        fn after_tile_update(
+            &self,
+            _: usize,
+            _: usize,
+            _: usize,
+            cols: &mut [&mut [f32]],
+        ) -> TileVerdict {
             assert!(!cols.is_empty() && !cols[0].is_empty());
             self.0.fetch_add(1, Ordering::Relaxed);
+            TileVerdict::Accept
         }
     }
 
@@ -371,9 +120,6 @@ mod tests {
     #[test]
     fn f32_lu_rejects_singular() {
         let a = Matrix::<f32>::zeros(4, 4);
-        assert!(matches!(
-            lu_blocked_f32(&a, 2, &()),
-            Err(LowPrecError::Singular { col: 0 })
-        ));
+        assert!(matches!(lu_blocked_f32(&a, 2, &()), Err(LuError::Singular(0))));
     }
 }

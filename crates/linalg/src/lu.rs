@@ -12,9 +12,9 @@ use crate::blas3::{
     gemm_acc_cols, gemm_acc_cols_prepacked, gemm_into_block, repack_a_op, trsm_into_block,
     trsm_unit_lower_cols, Diag, PackedA, Side, Trans, UpLo,
 };
-use crate::dag::{group_bounds, DagBuilder, DagExecution, DagTiming};
+use crate::dag::{group_bounds, DagBuilder, DagExecution, DagTiming, TaskOutcome};
+use crate::elem::Element;
 use crate::matrix::{Block, Matrix};
-use crate::dag::TaskOutcome;
 use crate::task::{
     restore_rows, snapshot_rows, split_tiles, split_tiles_at, StepTiming, TileCols, TileVerdict,
     TrailingHook,
@@ -143,11 +143,11 @@ fn panel_factor_base(
     let n = a.rows();
     for j in j0..j0 + nb {
         // Pivot search in column j, rows j..n. iamax never selects NaN, so a NaN pivot
-        // means the whole remaining column is NaN — reject it like an exact zero
-        // instead of letting scal(1/NaN) poison the panel.
+        // means the whole remaining column is NaN — reject it (and an infinite pivot)
+        // like an exact zero instead of letting scal(1/p) poison the panel.
         let piv = j + iamax(a.col_range(j, j, n));
         let p = a.get(piv, j);
-        if p == 0.0 || p.is_nan() {
+        if p == 0.0 || !p.is_finite() {
             return Err(LuError::Singular(j));
         }
         pivots.push(piv);
@@ -226,26 +226,26 @@ pub fn trailing_update(a: &mut Matrix, j0: usize, nb: usize) {
 /// triangle = L without its diagonal, upper triangle = U) and `pivots[j]` records the row
 /// swapped into position `j`.
 #[derive(Debug, Clone)]
-pub struct LuFactors {
+pub struct LuFactors<E: Element = f64> {
     /// Combined L/U storage.
-    pub lu: Matrix,
+    pub lu: Matrix<E>,
     /// Pivot rows, one per column.
     pub pivots: Vec<usize>,
 }
 
-impl LuFactors {
+impl<E: Element> LuFactors<E> {
     /// Extract the unit-lower-triangular factor `L`.
-    pub fn l(&self) -> Matrix {
+    pub fn l(&self) -> Matrix<E> {
         self.lu.unit_lower_triangular()
     }
 
     /// Extract the upper-triangular factor `U`.
-    pub fn u(&self) -> Matrix {
+    pub fn u(&self) -> Matrix<E> {
         self.lu.upper_triangular()
     }
 
     /// Apply the recorded row interchanges to a copy of `m` (computes `P · m`).
-    pub fn apply_permutation(&self, m: &Matrix) -> Matrix {
+    pub fn apply_permutation(&self, m: &Matrix<E>) -> Matrix<E> {
         let mut out = m.clone();
         let cols = out.cols();
         out.apply_row_swaps(0, &self.pivots, 0, cols);
@@ -256,7 +256,7 @@ impl LuFactors {
     /// [`crate::solve::lu_solve`]. `B` may carry any number of right-hand sides and
     /// is left untouched; service clients get solutions without re-assembling the
     /// packed storage themselves.
-    pub fn solve(&self, b: &Matrix) -> Matrix {
+    pub fn solve(&self, b: &Matrix<E>) -> Matrix<E> {
         crate::solve::lu_solve(&self.lu, &self.pivots, b)
     }
 }
@@ -300,7 +300,10 @@ pub fn num_iterations(n: usize, b: usize) -> usize {
 /// receive them at the start of their next trailing-update task, the columns left of
 /// it in the next iteration's left-swap task — permutations compose, so late
 /// application is bit-identical to the eager `dlaswp` of [`panel_factor`].
-fn factor_panel_tile(tile: &mut TileCols<'_>, row0: usize) -> Result<Vec<usize>, LuError> {
+fn factor_panel_tile<E: Element>(
+    tile: &mut TileCols<'_, E>,
+    row0: usize,
+) -> Result<Vec<usize>, LuError> {
     let nb = tile.width();
     let mut local = Vec::with_capacity(nb);
     panel_factor_slices(&mut tile.cols, row0, 0, nb, tile.col0, &mut local)?;
@@ -314,8 +317,8 @@ fn factor_panel_tile(tile: &mut TileCols<'_>, row0: usize) -> Result<Vec<usize>,
 /// row indices. Operation-for-operation identical to the Matrix-based recursion
 /// (same half splits, same `L11`/`L21`/`U12` copies, same packed TRSM/GEMM), so the
 /// bits match.
-fn panel_factor_slices(
-    cols: &mut [&mut [f64]],
+fn panel_factor_slices<E: Element>(
+    cols: &mut [&mut [E]],
     diag_row0: usize,
     jcol: usize,
     nb: usize,
@@ -331,7 +334,7 @@ fn panel_factor_slices(
             let arow = diag_row0 + jj;
             let piv = arow + iamax(&cols[jj][arow..n]);
             let p = cols[jj][piv];
-            if p == 0.0 || p.is_nan() {
+            if p == E::ZERO || !p.is_finite() {
                 return Err(LuError::Singular(col0 + jj));
             }
             pivots.push(piv);
@@ -341,11 +344,11 @@ fn panel_factor_slices(
                 }
             }
             let d = cols[jj][arow];
-            scal(1.0 / d, &mut cols[jj][arow + 1..n]);
+            scal(E::ONE / d, &mut cols[jj][arow + 1..n]);
             for c in jj + 1..jcol + nb {
                 let (pivot_col, update_col) = col_pair(cols, jj, c);
                 let ujc = update_col[arow];
-                if ujc != 0.0 {
+                if ujc != E::ZERO {
                     axpy(-ujc, &pivot_col[arow + 1..n], &mut update_col[arow + 1..n]);
                 }
             }
@@ -363,7 +366,7 @@ fn panel_factor_slices(
     // A₂₂ (within the panel) ← A₂₂ − L₂₁ U₁₂: one GEMM instead of `nl` rank-1 sweeps.
     let l21 = extract_cols(&cols[jcol..jcol + nl], arow + nl, n);
     let u12 = extract_cols(&cols[jcol + nl..jcol + nb], arow, arow + nl);
-    let mut sub: Vec<&mut [f64]> = cols[jcol + nl..jcol + nb]
+    let mut sub: Vec<&mut [E]> = cols[jcol + nl..jcol + nb]
         .iter_mut()
         .map(|c| &mut c[arow + nl..n])
         .collect();
@@ -384,15 +387,15 @@ fn panel_factor_slices(
 /// contents (including the deferred swaps) before the verdict is passed to the
 /// caller, so simply calling again re-runs the identical update from clean inputs.
 #[allow(clippy::too_many_arguments)] // mirrors the per-iteration operand set
-fn lu_update_tile(
-    tile: &mut TileCols<'_>,
+fn lu_update_tile<E: Element>(
+    tile: &mut TileCols<'_, E>,
     iter: usize,
     j0: usize,
     nb: usize,
     swaps: &[usize],
-    l11: &Matrix,
-    l21p: &PackedA,
-    hook: &dyn TrailingHook,
+    l11: &Matrix<E>,
+    l21p: &PackedA<E>,
+    hook: &dyn TrailingHook<E>,
 ) -> TileVerdict {
     let snap = hook.wants_snapshots().then(|| snapshot_rows(&tile.cols, j0, tile.width()));
     tile.apply_row_swaps(j0, swaps);
@@ -426,11 +429,11 @@ fn lu_update_tile(
 /// [`TileVerdict::Recompute`] the panel rows are restored and `None` is returned —
 /// the caller refactors from the identical pre-attempt state (same pivots, same
 /// bits). `row0` is the panel's diagonal row (`== tile.col0` for LU).
-fn lu_panel_attempt(
-    tile: &mut TileCols<'_>,
+fn lu_panel_attempt<E: Element>(
+    tile: &mut TileCols<'_, E>,
     iter: usize,
     row0: usize,
-    hook: &dyn TrailingHook,
+    hook: &dyn TrailingHook<E>,
 ) -> Option<Result<Vec<usize>, LuError>> {
     let snap = hook.wants_snapshots().then(|| snapshot_rows(&tile.cols, row0, tile.width()));
     let col0 = tile.col0;
@@ -652,9 +655,9 @@ impl LuTiledStepper {
 /// and `L21` pre-packed for the tile GEMMs. Written once by the `Panel(k)` task before
 /// any consumer is unlocked; bit-identical to the barrier stepper's per-iteration
 /// copies (the pack reads the same submatrix values).
-struct LuPanelOps {
-    l11: Matrix,
-    l21p: PackedA,
+struct LuPanelOps<E: Element> {
+    l11: Matrix<E>,
+    l21p: PackedA<E>,
 }
 
 /// Dependency-driven DAG LU with partial pivoting and depth-unbounded panel lookahead.
@@ -671,12 +674,16 @@ pub fn lu_dag(a: &Matrix, block: usize) -> Result<LuFactors, LuError> {
 
 /// [`lu_dag`] with a [`TrailingHook`] fused into every trailing tile task and an
 /// explicit [`DagExecution`] mode; also returns the per-task measured [`DagTiming`].
-pub fn lu_dag_with(
-    a: &Matrix,
+///
+/// Generic over the [`Element`] type: the mixed-precision path is this driver at
+/// `E = f32` (same graph, same hook call sites, same retry protocol), and the
+/// bit-identity guarantees above hold per element type.
+pub fn lu_dag_with<E: Element>(
+    a: &Matrix<E>,
     block: usize,
-    hook: &dyn TrailingHook,
+    hook: &dyn TrailingHook<E>,
     exec: DagExecution,
-) -> Result<(LuFactors, DagTiming), LuError> {
+) -> Result<(LuFactors<E>, DagTiming), LuError> {
     if !a.is_square() {
         return Err(LuError::NotSquare);
     }
@@ -690,13 +697,13 @@ pub fn lu_dag_with(
     let bounds = group_bounds(n, n, block);
     let g = bounds.len();
     let width_of = |p: usize| bounds.get(p + 1).copied().unwrap_or(n) - bounds[p];
-    let ops: Vec<OnceLock<LuPanelOps>> = (0..g).map(|_| OnceLock::new()).collect();
+    let ops: Vec<OnceLock<LuPanelOps<E>>> = (0..g).map(|_| OnceLock::new()).collect();
     let swaps: Vec<OnceLock<Vec<usize>>> = (0..g).map(|_| OnceLock::new()).collect();
     let failed = AtomicBool::new(false);
     let error: Mutex<Option<LuError>> = Mutex::new(None);
     let panel_nanos: Vec<AtomicU64> = (0..g).map(|_| AtomicU64::new(0)).collect();
     let update_nanos: Vec<AtomicU64> = (0..g).map(|_| AtomicU64::new(0)).collect();
-    let tiles: Vec<Mutex<TileCols<'_>>> =
+    let tiles: Vec<Mutex<TileCols<'_, E>>> =
         split_tiles_at(&mut lu, &bounds).into_iter().map(Mutex::new).collect();
     // Group `grp` owns one sequential chain with a task per iteration `p`
     // (id = grp · G + p): Update(p, grp) for p < grp, Panel(grp) at p = grp,

@@ -1,14 +1,14 @@
 //! Tile-column task machinery for the task-parallel factorization drivers.
 //!
-//! The tiled drivers (`lu::lu_tiled`, `cholesky::cholesky_tiled`, `qr::qr_tiled`)
-//! decompose each iteration's trailing update into **per-tile-column tasks**: the
-//! trailing columns are partitioned into `block`-wide groups, every group becomes one
-//! task on the rayon pool, and the group feeding the next panel runs first so panel
-//! `k + 1` factorizes concurrently with the rest of trailing update `k` (one-step
-//! lookahead, the PLASMA/StarPU-style DAG view of the blocked algorithms).
+//! The tiled and DAG drivers (`lu::lu_tiled`, `cholesky::cholesky_dag_with`,
+//! `qr::qr_tiled`, …) decompose each iteration's trailing update into
+//! **per-tile-column tasks**: the trailing columns are partitioned into `block`-wide
+//! groups, every group becomes one task on the rayon pool, and the group feeding the
+//! next panel runs first so panel `k + 1` factorizes concurrently with the rest of
+//! trailing update `k` (the PLASMA/StarPU-style DAG view of the blocked algorithms).
 //!
 //! Disjointness is proved by the borrow checker rather than asserted at runtime: a
-//! column-major [`Matrix`] splits into per-column `&mut [f64]` slices
+//! column-major [`Matrix<E>`] splits into per-column `&mut [E]` slices
 //! ([`Matrix::columns_mut`]), the crate-internal `split_tiles` partitions those into
 //! `TileCols` groups, and each task takes ownership of exactly one group. Shared
 //! operands (the panel's `L11`/`L21`/`A21`/`V`/`T` blocks) are copied or packed out
@@ -18,6 +18,9 @@
 //! [`TrailingHook`] is the fusion point for ABFT: `bsr-abft` implements it to encode
 //! and verify checksums of each tile right inside the task that produced it, so
 //! checksum maintenance rides the parallel schedule instead of a serial epilogue.
+//! Everything here — the hook, the tile groups, the helpers — is written once over
+//! the [`Element`] parameter; the element type is the only thing that distinguishes
+//! an f64 run from the mixed-precision path's f32 run.
 
 use crate::elem::Element;
 use crate::matrix::Matrix;
@@ -55,7 +58,9 @@ pub enum TileVerdict {
     Recompute,
 }
 
-/// Observer fused into every trailing-update tile task of the tiled drivers.
+/// Observer fused into every trailing-update tile task of the tiled and DAG drivers,
+/// at whichever [`Element`] type the driver factors in (`TrailingHook` alone means
+/// `TrailingHook<f64>`).
 ///
 /// `after_tile_update` is called once per (iteration, tile column, attempt) triple,
 /// from whichever pool thread ran the task, **after** the tile's numeric update and
@@ -68,14 +73,14 @@ pub enum TileVerdict {
 /// `cols[jj]` is the mutable row range `[row0, rows)` of global column `col0 + jj`;
 /// implementations may correct elements in place but must confine themselves to the
 /// given slices (other regions of the matrix are concurrently owned by other tasks).
-pub trait TrailingHook: Sync {
+pub trait TrailingHook<E: Element = f64>: Sync {
     /// Inspect (and possibly correct) one updated tile column group.
     fn after_tile_update(
         &self,
         iter: usize,
         col0: usize,
         row0: usize,
-        cols: &mut [&mut [f64]],
+        cols: &mut [&mut [E]],
     ) -> TileVerdict;
 
     /// Inspect a freshly factored lookahead panel (panel `iter + 1`, whose first
@@ -89,7 +94,7 @@ pub trait TrailingHook: Sync {
         _iter: usize,
         _col0: usize,
         _row0: usize,
-        _cols: &mut [&mut [f64]],
+        _cols: &mut [&mut [E]],
     ) -> TileVerdict {
         TileVerdict::Accept
     }
@@ -102,9 +107,9 @@ pub trait TrailingHook: Sync {
     }
 }
 
-/// The no-op hook: the plain tiled drivers run with `&()`.
-impl TrailingHook for () {
-    fn after_tile_update(&self, _: usize, _: usize, _: usize, _: &mut [&mut [f64]]) -> TileVerdict {
+/// The no-op hook: the plain drivers run with `&()`.
+impl<E: Element> TrailingHook<E> for () {
+    fn after_tile_update(&self, _: usize, _: usize, _: usize, _: &mut [&mut [E]]) -> TileVerdict {
         TileVerdict::Accept
     }
 }

@@ -10,6 +10,10 @@
 //!    `RAYON_NUM_THREADS ∈ {1, 2, 3, 4, 8}` *and* the deterministic replay executor
 //!    driving ≥ 64 seeded adversarial completion orders per factorization — must
 //!    produce factors, pivots and taus bit-identical to the serial blocked drivers.
+//!    The drivers are generic over the element type, so the LU and Cholesky
+//!    properties sweep it too: the same schedules at `f32` must be bit-identical to
+//!    each other (no serial f32 oracle exists) and reconstruct `P·A` / `A` to f32
+//!    accuracy.
 //! 2. **Exactly-once execution.** After every run the runtime's own accounting must
 //!    show `executed == tasks`: no dependency-counter underflow (the runtime panics
 //!    on a negative counter) and no leaked task that never became ready.
@@ -29,7 +33,8 @@ use bsr_abft::fused::{FusedTileChecksums, PerIterationChecksums, PlannedFault};
 use bsr_linalg::dag::{last_run_stats, DagExecution, DagRunStats};
 use bsr_linalg::generate::{random_matrix, random_spd_matrix};
 use bsr_linalg::matrix::Matrix;
-use bsr_linalg::{cholesky, lu, qr};
+use bsr_linalg::verify::{cholesky_residual, lu_residual};
+use bsr_linalg::{cholesky, lu, qr, Element};
 use hetero_sim::sdc::ErrorPattern;
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -80,6 +85,56 @@ fn schedules(case_seed: u64) -> Vec<(DagExecution, Option<usize>, String)> {
     execs
 }
 
+/// Relative Frobenius residual an f32 factorization of these small, well-scaled
+/// inputs must reconstruct its input to (`n·ε_f32` with headroom for pivot growth).
+const F32_RESIDUAL: f64 = 1e-4;
+
+/// `run` under every schedule of the case, each run watchdogged and checked for
+/// exactly-once execution; returns the labelled results.
+fn dag_runs<T: Send + 'static>(
+    kind: String,
+    seed: u64,
+    run: impl Fn(DagExecution) -> T + Clone + Send + 'static,
+) -> Vec<(String, T)> {
+    let mut runs = Vec::new();
+    for (exec, threads, desc) in schedules(seed) {
+        let label = format!("{kind} {desc}");
+        let run = run.clone();
+        let (out, stats) = with_watchdog(label.clone(), move || {
+            let _guard = threads.map(ThreadCountGuard::set);
+            let out = run(exec);
+            (out, last_run_stats().expect("run must record stats"))
+        });
+        assert_exactly_once(stats, &label);
+        runs.push((label, out));
+    }
+    runs
+}
+
+/// `lu_dag_with` at element type `E` under every schedule of the case.
+fn lu_dag_runs<E: Element>(
+    a: &Matrix<E>,
+    block: usize,
+    seed: u64,
+) -> Vec<(String, lu::LuFactors<E>)> {
+    let (a, kind) = (a.clone(), format!("lu<{}> n={} b={block}", E::NAME, a.rows()));
+    dag_runs(kind, seed, move |exec| lu::lu_dag_with(&a, block, &(), exec).unwrap().0)
+}
+
+/// `cholesky_dag_with` at element type `E` under every schedule of the case.
+fn cholesky_dag_runs<E: Element>(
+    a0: &Matrix<E>,
+    block: usize,
+    seed: u64,
+) -> Vec<(String, Matrix<E>)> {
+    let (a0, kind) = (a0.clone(), format!("cholesky<{}> n={} b={block}", E::NAME, a0.rows()));
+    dag_runs(kind, seed, move |exec| {
+        let mut m = a0.clone();
+        cholesky::cholesky_dag_with(&mut m, block, &(), exec).unwrap();
+        m
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -92,19 +147,21 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let a = random_matrix(&mut rng, n, n);
         let sync = lu::lu_blocked(&a, block).unwrap();
-        for (exec, threads, desc) in schedules(seed) {
-            let label = format!("lu n={n} b={block} {desc}");
-            let input = a.clone();
-            let (dag, stats) = with_watchdog(label.clone(), move || {
-                let _guard = threads.map(ThreadCountGuard::set);
-                let f = lu::lu_dag_with(&input, block, &(), exec).map(|(f, _)| f);
-                (f, last_run_stats().expect("run must record stats"))
-            });
-            let dag = dag.unwrap();
-            assert_exactly_once(stats, &label);
+        for (label, dag) in lu_dag_runs(&a, block, seed) {
             prop_assert_eq!(&sync.pivots, &dag.pivots, "pivots differ ({})", &label);
             prop_assert!(sync.lu == dag.lu, "LU factors not bit-identical ({})", &label);
         }
+        // The same driver at f32: every schedule agrees with the first, and the
+        // factors reconstruct P·A to f32 accuracy.
+        let runs = lu_dag_runs(&a.demote(), block, seed);
+        let (_, first) = &runs[0];
+        for (label, dag) in &runs {
+            prop_assert_eq!(&first.pivots, &dag.pivots, "pivots differ ({})", label);
+            prop_assert!(first.lu == dag.lu, "LU factors not bit-identical ({})", label);
+        }
+        let promoted = lu::LuFactors { lu: first.lu.promote(), pivots: first.pivots.clone() };
+        let residual = lu_residual(&a.demote().promote(), &promoted);
+        prop_assert!(residual < F32_RESIDUAL, "f32 LU n={} b={}: residual {}", n, block, residual);
     }
 
     #[test]
@@ -116,18 +173,18 @@ proptest! {
         let a0 = random_spd_matrix(&mut rng, n);
         let mut sync = a0.clone();
         cholesky::cholesky_blocked(&mut sync, block).unwrap();
-        for (exec, threads, desc) in schedules(seed) {
-            let label = format!("cholesky n={n} b={block} {desc}");
-            let mut input = a0.clone();
-            let (dag, stats) = with_watchdog(label.clone(), move || {
-                let _guard = threads.map(ThreadCountGuard::set);
-                let r = cholesky::cholesky_dag_with(&mut input, block, &(), exec).map(|_| input);
-                (r, last_run_stats().expect("run must record stats"))
-            });
-            let dag = dag.unwrap();
-            assert_exactly_once(stats, &label);
+        for (label, dag) in cholesky_dag_runs(&a0, block, seed) {
             prop_assert!(sync == dag, "Cholesky factors not bit-identical ({})", &label);
         }
+        // The same driver at f32: every schedule agrees with the first, and the
+        // factor reconstructs A to f32 accuracy.
+        let runs = cholesky_dag_runs(&a0.demote(), block, seed);
+        let (_, first) = &runs[0];
+        for (label, dag) in &runs {
+            prop_assert!(first == dag, "Cholesky factors not bit-identical ({})", label);
+        }
+        let residual = cholesky_residual(&a0.demote().promote(), &first.promote());
+        prop_assert!(residual < F32_RESIDUAL, "f32 Cholesky n={} b={}: residual {}", n, block, residual);
     }
 
     #[test]
