@@ -17,6 +17,7 @@
 //! into caller-owned column slices so each tile task's disjointness is a borrow-checker
 //! fact.
 
+use crate::blas1::axpy;
 use crate::elem::Element;
 use crate::kernel;
 use crate::matrix::{Block, Matrix};
@@ -401,14 +402,7 @@ pub(crate) fn trsm_unit_lower_cols<E: Element>(l: &Matrix<E>, row0: usize, cols:
         let d1 = d0 + ndb;
         // Substitution on rows [row0 + d0, row0 + d1), per column (unit diagonal).
         for col in cols.iter_mut() {
-            for i in 0..ndb {
-                let gi = d0 + i;
-                let mut sum = col[row0 + gi];
-                for l_idx in 0..i {
-                    sum -= l.get(gi, d0 + l_idx) * col[row0 + d0 + l_idx];
-                }
-                col[row0 + gi] = sum;
-            }
+            forward_sweep_lower(l, d0, Diag::Unit, &mut col[row0 + d0..row0 + d1]);
         }
         if d1 < n {
             // Eliminate the solved rows from the rows below through the packed GEMM,
@@ -702,6 +696,7 @@ fn solve_left_diag<E: Element>(
 ) {
     let bsub = Block::new(bb.row + d0, bb.col, nb, bb.cols);
     let solve_col = |col: &mut [E]| match eff_uplo {
+        UpLo::Lower if transa == Trans::No => forward_sweep_lower(a, d0, diag, col),
         UpLo::Lower => {
             for i in 0..nb {
                 let gi = d0 + i;
@@ -738,6 +733,24 @@ fn solve_left_diag<E: Element>(
             }
         });
     });
+}
+
+/// Forward substitution `x ← L⁻¹ x` against the lower-triangular diagonal block of `l`
+/// at `(d0, d0)` (of order `x.len()`), swept by column: once `x[j]` is final (divided by
+/// `L[j, j]` first for `NonUnit`), `x[j+1..] −= L[j+1.., j] · x[j]` reads column `j` of
+/// the column-major `l` contiguously. Every `x[i]` receives the same subtractions in the
+/// same order as row-by-row substitution, and `axpy` does not fuse, so the two are
+/// bit-identical.
+fn forward_sweep_lower<E: Element>(l: &Matrix<E>, d0: usize, diag: Diag, x: &mut [E]) {
+    let nb = x.len();
+    for j in 0..nb {
+        let gj = d0 + j;
+        if diag == Diag::NonUnit {
+            x[j] /= l.get(gj, gj);
+        }
+        let (head, tail) = x.split_at_mut(j + 1);
+        axpy(-head[j], &l.col(gj)[gj + 1..d0 + nb], tail);
+    }
 }
 
 /// Solve the `nb`-column diagonal sub-problem `X' · op(A)[d0..d1, d0..d1] = B'` in

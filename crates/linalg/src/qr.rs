@@ -1,14 +1,20 @@
 //! Blocked Householder QR factorization (`A = Q R`).
 //!
 //! Per iteration (paper Figure 1a):
-//! 1. **PD** — [`panel_factor`]: unblocked Householder QR of the tall panel (CPU side of
-//!    the hybrid algorithm), producing the reflectors `V` (stored below the diagonal) and
-//!    the scalars `tau`;
-//! 2. **T factor** — [`form_t`]: the compact-WY `T` matrix of the panel (LAPACK `larft`);
+//! 1. **PD** — [`panel_factor`]: recursive Householder QR of the tall panel (CPU side of
+//!    the hybrid algorithm; the recursive QR of Elmroth & Gustavson, LAPACK `dgeqrt3`'s
+//!    shape). The panel's columns are halved, the left half is factored, its block
+//!    reflector is applied to the right half on the packed GEMM core, then the right
+//!    half is factored; only `PANEL_LEAF`-wide leaves run the unblocked Householder
+//!    loop. Produces the reflectors `V` (stored below the diagonal) and the scalars
+//!    `tau`;
+//! 2. **T factor** — [`form_t`]: the compact-WY `T` matrix of the panel (LAPACK `larft`),
+//!    its reflector inner products taken on the packed core. The panel builds the same
+//!    `T`, bit for bit, while it factors, and the drivers apply that one;
 //! 3. **TMU** — [`apply_block_reflector`]: `A₂ ← (I − V Tᵀ Vᵀ) A₂` applied to the trailing
 //!    columns (LAPACK `larfb`, the GPU side).
 
-use crate::blas1::{axpy, dot, nrm2, scal};
+use crate::blas1::{axpy, nrm2, scal};
 use crate::blas3::{
     gemm, gemm_acc_cols_prepacked, gemm_block, repack_a_op, Operand, PackedA, Trans,
 };
@@ -18,6 +24,7 @@ use crate::task::{
     restore_rows, snapshot_rows, split_tiles, split_tiles_at, StepTiming, TileCols, TileVerdict,
     TrailingHook,
 };
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -29,6 +36,11 @@ use std::time::Instant;
 /// of `C` is packed once per group) against the `op(T)·W` product, which grows with it;
 /// 64, 96 and 128 measure within a few percent of each other at n = 1024.
 const APPLY_BLOCK: usize = 96;
+
+/// Widest part of a panel the recursion ([`panel_factor`]) factors with the unblocked
+/// loop instead of splitting further. Leaves of 8, 16 and 32 measure alike at
+/// n = 1024, b = 128: a wider leaf trades small in-panel GEMMs for level-2 work.
+const PANEL_LEAF: usize = 16;
 
 /// Householder QR factors stored compactly: reflectors below the diagonal of `qr`, `R` on
 /// and above the diagonal, and one `tau` per column.
@@ -89,10 +101,10 @@ impl QrFactors {
             let j0 = blk * APPLY_BLOCK;
             let nb = APPLY_BLOCK.min(k - j0);
             let v = extract_reflectors(&self.qr, j0, nb);
-            let t = form_t_gram(&v, &self.taus[j0..j0 + nb]);
+            let t = wy_t(&v, &self.taus[j0..j0 + nb]);
             let col0 = if upper_operand { j0.min(c.cols()) } else { 0 };
             let cb = Block::new(j0, col0, m - j0, c.cols() - col0);
-            apply_wy_left(&v, &t, trans_t, c, cb, &mut scratch);
+            apply_wy_left(&v, 0, nb, Operand::whole(&t, trans_t), c, cb, &mut scratch);
         }
     }
 
@@ -110,7 +122,7 @@ impl QrFactors {
 /// gather/scatter copies of an element-at-a-time formulation.
 fn householder(x: &mut [f64]) -> f64 {
     let alpha = x[0];
-    let xnorm = nrm2(&x[1..]);
+    let xnorm = norm(&x[1..]);
     if xnorm == 0.0 {
         return 0.0;
     }
@@ -121,13 +133,39 @@ fn householder(x: &mut [f64]) -> f64 {
     tau
 }
 
-/// Unblocked Householder QR (PD) of the panel `A[j0.., j0..j0+nb]`. Appends one `tau` per
-/// panel column to `taus`.
-///
-/// All inner loops are slice operations: the reflector is generated in place on the
-/// column, and its application to each remaining panel column is one `dot` + one `axpy`
-/// against the reflector tail.
-pub fn panel_factor(a: &mut Matrix, j0: usize, nb: usize, taus: &mut Vec<f64>) {
+/// Euclidean norm of the reflector tail: the one-pass sum of squares when it is finite
+/// and at least `MIN_POSITIVE / ε` (so no square overflowed, and any square that
+/// underflowed is far below `ε` of the sum), else the scaled two-pass [`nrm2`].
+fn norm(x: &[f64]) -> f64 {
+    let ss = dot_lanes(x, x);
+    if ss.is_finite() && ss >= f64::MIN_POSITIVE / f64::EPSILON {
+        ss.sqrt()
+    } else {
+        nrm2(x)
+    }
+}
+
+/// Dot product accumulated in eight interleaved partial sums, combined in a fixed order
+/// (so the result is deterministic). The leaf's reflector applications are bound by
+/// this reduction: one running sum serializes on the add latency, eight lanes vectorize.
+fn dot_lanes(x: &[f64], y: &[f64]) -> f64 {
+    debug_assert_eq!(x.len(), y.len());
+    let (xs, ys) = (x.chunks_exact(8), y.chunks_exact(8));
+    let tail: f64 = xs.remainder().iter().zip(ys.remainder()).map(|(a, b)| a * b).sum();
+    let mut acc = [0.0; 8];
+    for (xc, yc) in xs.zip(ys) {
+        for ((s, &xv), &yv) in acc.iter_mut().zip(xc).zip(yc) {
+            *s += xv * yv;
+        }
+    }
+    ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7])) + tail
+}
+
+/// Unblocked Householder QR of the `nb` columns at `(j0, j0)`, the recursion's leaf.
+/// Appends one `tau` per column to `taus`. Each reflector is generated in place on its
+/// column and applied to every later leaf column with one `dot` + one `axpy` against
+/// the reflector tail.
+fn factor_leaf(a: &mut Matrix, j0: usize, nb: usize, taus: &mut Vec<f64>) {
     let m = a.rows();
     for jj in 0..nb {
         let j = j0 + jj;
@@ -137,88 +175,165 @@ pub fn panel_factor(a: &mut Matrix, j0: usize, nb: usize, taus: &mut Vec<f64>) {
         if tau == 0.0 {
             continue;
         }
-        // Apply H = I − tau v vᵀ to the remaining panel columns j+1 .. j0+nb.
+        // Apply H = I − tau v vᵀ to the remaining leaf columns j+1 .. j0+nb.
         for c in j + 1..j0 + nb {
             let (vcol, ccol) = a.col_pair_mut(j, c);
             let v_tail = &vcol[j + 1..m];
-            let w = tau * (ccol[j] + dot(v_tail, &ccol[j + 1..m]));
+            let w = tau * (ccol[j] + dot_lanes(v_tail, &ccol[j + 1..m]));
             ccol[j] -= w;
             axpy(-w, v_tail, &mut ccol[j + 1..m]);
         }
     }
 }
 
+/// Recursive Householder QR (PD) of the panel `A[j0.., j0..j0+nb]`. The columns are
+/// halved, the left half is factored, its block reflector `(I − V₁ T₁ᵀ V₁ᵀ)` is applied
+/// to the right half on the packed GEMM core, then the right half is factored. Parts of
+/// at most `PANEL_LEAF` columns are the leaves: the unblocked loop, one `dot` + one
+/// `axpy` per reflector and later leaf column. Reflectors are stored below the diagonal
+/// and `R` on and above it, as the unblocked factorization stores them.
+///
+/// Appends one `tau` per panel column to `taus`, after whatever it already holds (it is
+/// never indexed by `j0`). The panel builds its compact-WY `T` while it factors; the
+/// drivers apply that `T`, and [`form_t`] on the factored panel returns it bit for bit.
+pub fn panel_factor(a: &mut Matrix, j0: usize, nb: usize, taus: &mut Vec<f64>) {
+    factor_panel_wy(a, j0, nb, taus);
+}
+
+/// A panel's compact-WY representation, grown while the recursion factors it: the
+/// explicit unit lower-trapezoidal reflectors `v` (`(m − j0) × nb`), their `t`, the
+/// reflector inner products `gram` (lower triangle of `Vᵀ V`) `t` is built from, and
+/// the scratch of the in-panel applications.
+struct PanelWy {
+    v: Matrix,
+    t: Matrix,
+    gram: Matrix,
+    scratch: WyScratch,
+}
+
+/// [`panel_factor`], returning the panel's explicit reflectors `V` and its compact-WY
+/// `T` — the `T` every driver applies.
+fn factor_panel_wy(a: &mut Matrix, j0: usize, nb: usize, taus: &mut Vec<f64>) -> (Matrix, Matrix) {
+    let mut wy = PanelWy {
+        v: Matrix::zeros(a.rows() - j0, nb),
+        t: Matrix::zeros(nb, nb),
+        gram: Matrix::zeros(nb, nb),
+        // The top split bounds both dimensions of every in-panel application.
+        scratch: WyScratch::new(nb / 2, nb - nb / 2),
+    };
+    let tau0 = taus.len();
+    factor_rec(a, j0, 0, nb, taus, tau0, &mut wy);
+    (wy.v, wy.t)
+}
+
+/// Factor the panel-relative columns `[s, s + w)` of the panel at `(j0, j0)`, whose
+/// `tau`s start at `taus[tau0]`, and complete the `[s, s + w)` diagonal blocks of
+/// `wy.gram` and `wy.t` — the `T` block a left half's application reads. Each Gram and
+/// `T` entry is computed once, by the same sum [`form_t`] takes.
+fn factor_rec(
+    a: &mut Matrix,
+    j0: usize,
+    s: usize,
+    w: usize,
+    taus: &mut Vec<f64>,
+    tau0: usize,
+    wy: &mut PanelWy,
+) {
+    if w <= PANEL_LEAF {
+        factor_leaf(a, j0 + s, w, taus);
+        copy_reflectors(a, j0, s, w, &mut wy.v);
+        gram_block(&wy.v, &mut wy.gram, s, s, w, w);
+        recur_t(&wy.gram, &taus[tau0..], &mut wy.t, s..s + w, s..s + w);
+        return;
+    }
+    let n1 = w / 2;
+    factor_rec(a, j0, s, n1, taus, tau0, wy);
+    let cb = Block::new(j0 + s, j0 + s + n1, a.rows() - j0 - s, w - n1);
+    let t1 = Operand::at(&wy.t, Trans::Yes, s, s);
+    apply_wy_left(&wy.v, s, n1, t1, a, cb, &mut wy.scratch);
+    factor_rec(a, j0, s + n1, w - n1, taus, tau0, wy);
+    // Couple the halves: the inner products V₂ᵀ V₁, then T's off-diagonal block.
+    gram_block(&wy.v, &mut wy.gram, s + n1, s, w - n1, n1);
+    recur_t(&wy.gram, &taus[tau0..], &mut wy.t, s..s + n1, s + n1..s + w);
+}
+
 /// Form the compact-WY `T` factor (upper triangular, `nb × nb`) of the panel starting at
 /// `(j0, j0)` whose reflectors are stored in `a` with scalars `taus[j0..j0+nb]`
 /// (LAPACK `larft`, forward columnwise).
+///
+/// This is the one compact-WY builder: all reflector inner products are taken as one
+/// lower-masked GEMM `Vᵀ V` on the packed core, then one pass runs the `larft`
+/// recurrence. [`panel_factor`] takes the same inner products and the same recurrence
+/// sums in pieces as its recursion completes them, so on a panel it factored this
+/// returns, bit for bit, the `T` the drivers apply; [`QrFactors::apply_q`] and its
+/// siblings build their regrouped `T`s here too.
 pub fn form_t(a: &Matrix, j0: usize, nb: usize, taus: &[f64]) -> Matrix {
-    let m = a.rows();
+    wy_t(&extract_reflectors(a, j0, nb), &taus[j0..j0 + nb])
+}
+
+/// The compact-WY `T` of the explicit reflector trapezoid `v` with scalars `taus`.
+fn wy_t(v: &Matrix, taus: &[f64]) -> Matrix {
+    let nb = v.cols();
+    let mut gram = Matrix::zeros(nb, nb);
+    gram_block(v, &mut gram, 0, 0, nb, nb);
     let mut t = Matrix::zeros(nb, nb);
-    for i in 0..nb {
-        let tau = taus[j0 + i];
-        t.set(i, i, tau);
-        if i == 0 || tau == 0.0 {
-            continue;
-        }
-        // w = -tau * V[:, 0..i]ᵀ v_i (length i), where v_i has implicit 1 at row j0+i:
-        // each entry is the explicit V[j0+i, k] plus a slice dot over the shared tail.
-        let v_i = a.col_range(j0 + i, j0 + i + 1, m);
-        let mut w = vec![0.0; i];
-        for (k, wk) in w.iter_mut().enumerate() {
-            let v_k = a.col_range(j0 + k, j0 + i, m);
-            *wk = -tau * (v_k[0] + dot(&v_k[1..], v_i));
-        }
-        // T[0..i, i] = T[0..i, 0..i] · w, accumulated column-wise: T's column k
-        // contributes w[k] · T[0..=k, k] (T is upper triangular).
-        for (k, &wk) in w.iter().enumerate() {
-            if wk != 0.0 {
-                let (tcol_k, tcol_i) = t.col_pair_mut(k, i);
-                axpy(wk, &tcol_k[..=k], &mut tcol_i[..=k]);
-            }
-        }
-    }
+    recur_t(&gram, taus, &mut t, 0..nb, 0..nb);
     t
 }
 
-/// The compact-WY `T` factor of an explicit reflector trapezoid `v` (from
-/// [`extract_reflectors`]) with scalars `taus`: the recurrence of [`form_t`], with all
-/// reflector inner products taken at once as the lower triangle of the Gram matrix
-/// `Vᵀ V` on the packed core instead of one memory-bound `dot` per reflector pair. The
-/// factorizations keep [`form_t`] (their `T` bits are pinned); applying `Q` from
-/// stored reflectors regroups them at `APPLY_BLOCK` and forms every `T` afresh.
-fn form_t_gram(v: &Matrix, taus: &[f64]) -> Matrix {
-    let nb = v.cols();
-    let mut gram = Matrix::zeros(nb, nb);
-    let (vt, vn) = (Operand::whole(v, Trans::Yes), Operand::whole(v, Trans::No));
-    gemm_block(1.0, vt, vn, v.rows(), 0.0, &mut gram, Block::full(nb, nb), true);
-    let mut t = Matrix::zeros(nb, nb);
-    for (i, &tau) in taus.iter().enumerate() {
-        t.set(i, i, tau);
+/// `gram[i0.., k0..] = (Vᵀ V)[i0.., k0..]` for a `rows × cols` block of reflector inner
+/// products, lower-masked on the diagonal (`i0 == k0`). The inner dimension is always
+/// all of `v`'s rows, and the packed core's per-element sum depends only on it, so an
+/// entry has the same bits whichever block computes it.
+fn gram_block(v: &Matrix, gram: &mut Matrix, i0: usize, k0: usize, rows: usize, cols: usize) {
+    let (vt, vn) = (Operand::at(v, Trans::Yes, i0, 0), Operand::at(v, Trans::No, 0, k0));
+    gemm_block(1.0, vt, vn, v.rows(), 0.0, gram, Block::new(i0, k0, rows, cols), i0 == k0);
+}
+
+/// The `larft` recurrence `T[0..i, i] = −τᵢ · T[0..i, 0..i] · (Vᵀ vᵢ)[0..i]` (inner
+/// products from the lower triangle of `gram`), for the entries of `t` in rows `rows`
+/// and columns `cols`; `taus` is indexed like `t`'s columns. Each `T[r, i]` (`r < i`)
+/// is accumulated over `k = r .. i` in ascending order, the same sum whichever range
+/// computes it, so the range only has to come after every `T[r, k]` it reads. The
+/// diagonal `T[i, i] = τᵢ` is set by the range that contains it.
+fn recur_t(gram: &Matrix, taus: &[f64], t: &mut Matrix, rows: Range<usize>, cols: Range<usize>) {
+    for i in cols {
+        let tau = taus[i];
+        if rows.contains(&i) {
+            t.set(i, i, tau);
+        }
         if tau == 0.0 {
             continue;
         }
-        // T[0..i, i] = −tau · T[0..i, 0..i] · (Vᵀ v_i)[0..i], column by column.
-        for k in 0..i {
+        // T's column k contributes −tau · (v_kᵀ v_i) · T[.., k] to the rows at or above k.
+        for k in rows.start..i {
             let wk = -tau * gram.get(i, k);
             if wk != 0.0 {
+                let hi = rows.end.min(k + 1);
                 let (tcol_k, tcol_i) = t.col_pair_mut(k, i);
-                axpy(wk, &tcol_k[..=k], &mut tcol_i[..=k]);
+                axpy(wk, &tcol_k[rows.start..hi], &mut tcol_i[rows.start..hi]);
             }
         }
     }
-    t
+}
+
+/// Copy the reflectors of panel columns `[k0, k0 + w)` of the panel at `(j0, j0)` out of
+/// compact storage into the same columns of the explicit unit lower-trapezoidal `v`
+/// (whose row 0 is row `j0` of `a`); entries above each unit diagonal are not written.
+fn copy_reflectors(a: &Matrix, j0: usize, k0: usize, w: usize, v: &mut Matrix) {
+    let m = a.rows();
+    for k in k0..k0 + w {
+        let vcol = v.col_mut(k);
+        vcol[k] = 1.0;
+        vcol[k + 1..].copy_from_slice(a.col_range(j0 + k, j0 + k + 1, m));
+    }
 }
 
 /// Copy the `nb` reflectors of the panel at `(j0, j0)` out of compact storage into an
 /// explicit `(m − j0) × nb` unit lower-trapezoidal `V`.
 fn extract_reflectors(a: &Matrix, j0: usize, nb: usize) -> Matrix {
-    let m = a.rows();
-    let mut v = Matrix::zeros(m - j0, nb);
-    for k in 0..nb {
-        let vcol = v.col_mut(k);
-        vcol[k] = 1.0;
-        vcol[k + 1..].copy_from_slice(a.col_range(j0 + k, j0 + k + 1, m));
-    }
+    let mut v = Matrix::zeros(a.rows() - j0, nb);
+    copy_reflectors(a, j0, 0, nb, &mut v);
     v
 }
 
@@ -236,14 +351,16 @@ impl WyScratch {
 }
 
 /// Apply the compact-WY block reflector `(I − V op(T) Vᵀ)` to the block `cb` of `c`, in
-/// place (LAPACK `larfb`, `side = Left`): `op(T) = Tᵀ` applies `Qᵀ` of the panel,
-/// `op(T) = T` applies `Q`. `v` is the explicit trapezoid from [`extract_reflectors`]
-/// and must have `cb.rows` rows. The packed core reads `C[cb]` where it lies — no
-/// extracted copy of the block.
+/// place (LAPACK `larfb`, `side = Left`): `op(T) = Tᵀ` applies `Qᵀ` of the reflectors,
+/// `op(T) = T` applies `Q`. `V` is the `cb.rows × nb` unit lower trapezoid at `(v0, v0)`
+/// of an explicit reflector matrix `v` (from [`extract_reflectors`] or a panel's
+/// [`PanelWy`]), and `t` views the `nb × nb` `op(T)`. The packed core reads `V`, `T`
+/// and `C[cb]` where they lie — no extracted copies.
 fn apply_wy_left(
     v: &Matrix,
-    t: &Matrix,
-    trans_t: Trans,
+    v0: usize,
+    nb: usize,
+    t: Operand<'_, f64>,
     c: &mut Matrix,
     cb: Block,
     scratch: &mut WyScratch,
@@ -251,18 +368,17 @@ fn apply_wy_left(
     if cb.is_empty() {
         return;
     }
-    debug_assert_eq!(v.rows(), cb.rows);
-    let nb = v.cols();
+    debug_assert_eq!(v.rows() - v0, cb.rows);
     let wb = Block::new(0, 0, nb, cb.cols);
     // W = Vᵀ C  (nb × ncols)
-    let c_op = Operand::at(c, Trans::No, cb.row, cb.col);
-    gemm_block(1.0, Operand::whole(v, Trans::Yes), c_op, cb.rows, 0.0, &mut scratch.vtc, wb, false);
+    let (vt, c_op) = (Operand::at(v, Trans::Yes, v0, v0), Operand::at(c, Trans::No, cb.row, cb.col));
+    gemm_block(1.0, vt, c_op, cb.rows, 0.0, &mut scratch.vtc, wb, false);
     // W ← op(T) W
-    let (t_op, w_op) = (Operand::whole(t, trans_t), Operand::whole(&scratch.vtc, Trans::No));
-    gemm_block(1.0, t_op, w_op, nb, 0.0, &mut scratch.tvtc, wb, false);
+    let w_op = Operand::whole(&scratch.vtc, Trans::No);
+    gemm_block(1.0, t, w_op, nb, 0.0, &mut scratch.tvtc, wb, false);
     // C ← C − V W
-    let w_op = Operand::whole(&scratch.tvtc, Trans::No);
-    gemm_block(-1.0, Operand::whole(v, Trans::No), w_op, nb, 1.0, c, cb, false);
+    let (vn, w_op) = (Operand::at(v, Trans::No, v0, v0), Operand::whole(&scratch.tvtc, Trans::No));
+    gemm_block(-1.0, vn, w_op, nb, 1.0, c, cb, false);
 }
 
 /// Apply the block reflector of the panel at `(j0, j0)` (reflectors in `a`, factor `t`) to
@@ -284,7 +400,7 @@ pub fn apply_block_reflector(
     let v = extract_reflectors(a, j0, nb);
     let c_block = Block::new(j0, col_start, m - j0, col_end - col_start);
     let mut scratch = WyScratch::new(nb, c_block.cols);
-    apply_wy_left(&v, t, Trans::Yes, a, c_block, &mut scratch);
+    apply_wy_left(&v, 0, nb, Operand::whole(t, Trans::Yes), a, c_block, &mut scratch);
 }
 
 /// Blocked Householder QR with block size `block`.
@@ -298,10 +414,13 @@ pub fn qr_blocked(a: &Matrix, block: usize) -> QrFactors {
     let mut j0 = 0;
     while j0 < kmax {
         let nb = block.min(kmax - j0);
-        panel_factor(&mut qr, j0, nb, &mut taus);
+        // The panel's own V and T: the same bits `form_t` + `apply_block_reflector`
+        // would rebuild from the stored reflectors.
+        let (v, t) = factor_panel_wy(&mut qr, j0, nb, &mut taus);
         if j0 + nb < n {
-            let t = form_t(&qr, j0, nb, &taus);
-            apply_block_reflector(&mut qr, j0, nb, &t, j0 + nb, n);
+            let cb = Block::new(j0, j0 + nb, m - j0, n - j0 - nb);
+            let mut scratch = WyScratch::new(nb, cb.cols);
+            apply_wy_left(&v, 0, nb, Operand::whole(&t, Trans::Yes), &mut qr, cb, &mut scratch);
         }
         j0 += nb;
     }
@@ -317,20 +436,26 @@ pub fn num_iterations(n: usize, b: usize) -> usize {
 // Tiled task-parallel driver with one-step panel lookahead.
 // =======================================================================================
 
+/// A factored diagonal panel as the tile drivers publish it: its `tau`s, its explicit
+/// reflectors `V` (rows `[row0, m)`) and its compact-WY `T`.
+struct FactoredPanel {
+    taus: Vec<f64>,
+    v: Matrix,
+    t: Matrix,
+}
+
 /// Factor the `pw`-column diagonal QR panel held in the first columns of `tile` (rows
-/// `[row0, m)`) on an extracted copy; returns the panel's `tau`s and compact-WY `T`
-/// factor. `pw` may be narrower than the tile when the panel is clipped by
-/// `min(m, n)` on wide matrices.
-fn factor_panel_tile(tile: &mut TileCols<'_>, row0: usize, pw: usize) -> (Vec<f64>, Matrix) {
+/// `[row0, m)`) on an extracted copy. `pw` may be narrower than the tile when the panel
+/// is clipped by `min(m, n)` on wide matrices.
+fn factor_panel_tile(tile: &mut TileCols<'_>, row0: usize, pw: usize) -> FactoredPanel {
     let m = tile.rows();
     let mut panel = crate::task::extract_cols(&tile.cols[..pw], row0, m);
     let mut taus = Vec::with_capacity(pw);
-    panel_factor(&mut panel, 0, pw, &mut taus);
-    let t = form_t(&panel, 0, pw, &taus);
+    let (v, t) = factor_panel_wy(&mut panel, 0, pw, &mut taus);
     for j in 0..pw {
         tile.cols[j][row0..].copy_from_slice(panel.col(j));
     }
-    (taus, t)
+    FactoredPanel { taus, v, t }
 }
 
 /// One QR trailing tile task of iteration `k`: the tile's slice of the compact-WY
@@ -401,7 +526,7 @@ fn qr_panel_attempt(
     row0: usize,
     pw: usize,
     hook: &dyn TrailingHook,
-) -> Option<(Vec<f64>, Matrix)> {
+) -> Option<FactoredPanel> {
     let snap = hook.wants_snapshots().then(|| snapshot_rows(&tile.cols, row0, pw));
     let col0 = tile.col0;
     let result = factor_panel_tile(tile, row0, pw);
@@ -438,9 +563,9 @@ pub fn qr_tiled_with(a: &Matrix, block: usize, hook: &dyn TrailingHook) -> QrFac
     stepper.into_factors()
 }
 
-/// What the lookahead task reports back: the next panel's `(taus, T)` and the
-/// measured duration of its factorization.
-type PanelOutcome = ((Vec<f64>, Matrix), f64);
+/// What the lookahead task reports back: the next panel and the measured duration of
+/// its factorization.
+type PanelOutcome = (FactoredPanel, f64);
 
 /// One tiled QR iteration: the per-tile-column block-reflector task graph of trailing
 /// update `k` with the lookahead factorization of panel `k + 1` riding its tile's task.
@@ -507,9 +632,9 @@ fn qr_step(
     });
     let update_s = region_t0.elapsed().as_secs_f64();
     let mut panel_s = 0.0;
-    if let Some(((new_taus, new_t), measured)) = next_panel.into_inner().unwrap() {
-        taus.extend(new_taus);
-        *tmat = new_t;
+    if let Some((panel, measured)) = next_panel.into_inner().unwrap() {
+        taus.extend(panel.taus);
+        *tmat = panel.t;
         panel_s = measured;
     }
     StepTiming { panel_s, update_s }
@@ -547,10 +672,9 @@ impl QrTiledStepper {
             Matrix::zeros(0, 0)
         } else {
             let (_, mut tiles) = split_tiles(&mut qr, 0, 0, block);
-            let pw = block.min(kmax);
-            let (t0s, tm) = factor_panel_tile(&mut tiles[0], 0, pw);
-            taus.extend(t0s);
-            tm
+            let panel = factor_panel_tile(&mut tiles[0], 0, block.min(kmax));
+            taus.extend(panel.taus);
+            panel.t
         };
         let prologue_s = t0.elapsed().as_secs_f64();
         Self {
@@ -715,28 +839,21 @@ pub fn qr_dag_with(
             } else {
                 Some(factor_panel_tile(&mut tile, j0, pw))
             };
-            let Some((new_taus, t)) = attempt else {
+            let Some(panel) = attempt else {
                 // Rolled back by the hook: resubmit the repair attempt without
                 // publishing operands or taus.
                 panel_nanos[grp].fetch_add(task_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 return TaskOutcome::Retry;
             };
             if grp + 1 < g {
-                // Publish V (unit lower-trapezoid, straight from the tile's own
-                // columns) in both packed orientations, plus T.
-                let mut v = Matrix::zeros(m - j0, pw);
-                for k in 0..pw {
-                    let vcol = v.col_mut(k);
-                    vcol[k] = 1.0;
-                    vcol[k + 1..].copy_from_slice(&tile.cols[k][j0 + k + 1..m]);
-                }
+                // Publish the panel's own V in both packed orientations, plus its T.
                 let mut vt_p = PackedA::default();
                 let mut v_p = PackedA::default();
-                repack_a_op(&mut vt_p, &v, Trans::Yes, 0, 0, pw, m - j0);
-                repack_a_op(&mut v_p, &v, Trans::No, 0, 0, m - j0, pw);
-                assert!(ops[grp].set(QrPanelOps { vt_p, v_p, t }).is_ok());
+                repack_a_op(&mut vt_p, &panel.v, Trans::Yes, 0, 0, pw, m - j0);
+                repack_a_op(&mut v_p, &panel.v, Trans::No, 0, 0, m - j0, pw);
+                assert!(ops[grp].set(QrPanelOps { vt_p, v_p, t: panel.t }).is_ok());
             }
-            assert!(taus_slots[grp].set(new_taus).is_ok());
+            assert!(taus_slots[grp].set(panel.taus).is_ok());
             panel_nanos[grp].fetch_add(task_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
             TaskOutcome::Done
         } else {
@@ -858,6 +975,28 @@ mod tests {
         f.apply_q(&mut y);
         f.apply_q_transpose(&mut y);
         assert!(y.approx_eq(&x, 1e-10));
+    }
+
+    #[test]
+    fn form_t_is_bitwise_the_panel_t() {
+        let mut rng = ChaCha8Rng::seed_from_u64(37);
+        // Single leaves, one split past the leaf, and several levels; panels at offsets
+        // with a tau prefix already in the vector, on square and tall inputs — taller
+        // than the packed core's inner-dimension block, so the Gram sums span chunks.
+        let shapes = [(9, 9, 0, 1), (40, 40, 3, 16), (70, 50, 5, 17), (130, 130, 2, 128)];
+        for (m, n, j0, nb) in shapes.into_iter().chain([(600, 150, 7, 131)]) {
+            let a0 = random_matrix(&mut rng, m, n);
+            let mut a = a0.clone();
+            let mut taus = vec![0.5; j0];
+            let (v, t) = factor_panel_wy(&mut a, j0, nb, &mut taus);
+            assert_eq!(taus.len(), j0 + nb, "taus are appended m={m} j0={j0} nb={nb}");
+            assert_eq!(form_t(&a, j0, nb, &taus), t, "T differs m={m} j0={j0} nb={nb}");
+            assert_eq!(extract_reflectors(&a, j0, nb), v, "V differs m={m} j0={j0} nb={nb}");
+            let (mut b, mut fresh) = (a0.clone(), Vec::new());
+            panel_factor(&mut b, j0, nb, &mut fresh);
+            assert_eq!(b, a, "panel_factor stores other bits m={m} j0={j0} nb={nb}");
+            assert_eq!(fresh, taus[j0..], "panel_factor taus m={m} j0={j0} nb={nb}");
+        }
     }
 
     #[test]

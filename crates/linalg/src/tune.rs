@@ -13,8 +13,8 @@
 //!    GEMM core over a small `KC × MC` grid — `NC` rides along, derived from `KC` by
 //!    holding the packed `op(B)` buffer's byte budget constant — picks the fastest
 //!    candidate, measures the rayon dispatch overhead to place the serial/parallel
-//!    crossover, and writes the cache file (temp + rename, so concurrent probers
-//!    race benignly).
+//!    crossover, and — in optimized builds only — writes the cache file (temp +
+//!    rename, so concurrent probers race benignly).
 //!
 //! Changing `KC` changes the inner-dimension summation grouping and therefore the
 //! floating-point rounding of every GEMM, which is why CI's tier-1 lane pins
@@ -99,11 +99,21 @@ fn resolve<E: Element>() -> KernelParams {
     if autotune_disabled() {
         return KernelParams::defaults::<E>();
     }
-    if let Some(cached) = read_cache::<E>() {
+    resolve_in::<E>(&cache_dir())
+}
+
+/// The cache-or-probe half of [`resolve`], against the cache directory `dir`. Only
+/// optimized builds write what they probed: an unoptimized build probes a smaller
+/// problem whose ranking is junk ([`probe_n`]), and the cache key does not name the
+/// build profile, so a release binary would load that ranking as `"cache"`.
+fn resolve_in<E: Element>(dir: &std::path::Path) -> KernelParams {
+    if let Some(cached) = read_cache::<E>(dir) {
         return cached;
     }
     let probed = probe::<E>();
-    write_cache::<E>(&probed);
+    if !cfg!(debug_assertions) {
+        write_cache::<E>(dir, &probed);
+    }
     probed
 }
 
@@ -127,8 +137,8 @@ fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-fn cache_path<E: Element>() -> std::path::PathBuf {
-    cache_dir().join(format!(
+fn cache_path<E: Element>(dir: &std::path::Path) -> std::path::PathBuf {
+    dir.join(format!(
         "{}-{}-c{}.tune",
         E::NAME,
         crate::elem::simd_backend(),
@@ -136,8 +146,8 @@ fn cache_path<E: Element>() -> std::path::PathBuf {
     ))
 }
 
-fn read_cache<E: Element>() -> Option<KernelParams> {
-    let text = std::fs::read_to_string(cache_path::<E>()).ok()?;
+fn read_cache<E: Element>(dir: &std::path::Path) -> Option<KernelParams> {
+    let text = std::fs::read_to_string(cache_path::<E>(dir)).ok()?;
     let mut p = KernelParams {
         nc: 0,
         kc: 0,
@@ -168,9 +178,8 @@ fn read_cache<E: Element>() -> Option<KernelParams> {
 
 /// Best-effort cache write: temp file + rename so concurrent probers never observe a
 /// torn file; any I/O failure just means the next process probes again.
-fn write_cache<E: Element>(p: &KernelParams) {
-    let dir = cache_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
+fn write_cache<E: Element>(dir: &std::path::Path, p: &KernelParams) {
+    if std::fs::create_dir_all(dir).is_err() {
         return;
     }
     let body = format!(
@@ -185,7 +194,7 @@ fn write_cache<E: Element>(p: &KernelParams) {
     );
     let tmp = dir.join(format!("{}.tmp.{}", E::NAME, std::process::id()));
     if std::fs::write(&tmp, body).is_ok() {
-        let _ = std::fs::rename(&tmp, cache_path::<E>());
+        let _ = std::fs::rename(&tmp, cache_path::<E>(dir));
     }
 }
 
@@ -357,6 +366,18 @@ mod tests {
         assert!(["defaults", "cache", "probe"].contains(&p.source));
         let f = params::<f32>();
         assert!(f.mc.is_multiple_of(<f32 as Element>::MR));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn debug_builds_never_write_the_cache() {
+        let dir = std::env::temp_dir().join(format!("bsr-tune-debug-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let p = resolve_in::<f64>(&dir);
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(p.source, "probe", "an empty cache directory must make resolve probe");
+        assert!(left.is_empty(), "a debug build wrote its probe to the cache: {left:?}");
     }
 
     #[test]

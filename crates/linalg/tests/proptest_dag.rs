@@ -211,6 +211,50 @@ proptest! {
     }
 }
 
+/// `(m, n, block)` at the block sizes the benchmark factors with: blocks past the
+/// recursive QR panel's leaf (17–40) or the benchmark's own 64 / 96 / 128, so every
+/// panel splits one to three levels deep, on square, tall (`m > n`) and wide shapes.
+fn qr_recursion_shape() -> impl Strategy<Value = (usize, usize, usize)> {
+    let block = (any::<bool>(), 17usize..41, prop::sample::select(vec![64usize, 96, 128]));
+    (block, 1usize..301, 1usize..301, 0usize..3).prop_map(|((small, b, big), d1, d2, kind)| {
+        let (lo, hi) = (d1.min(d2), d1.max(d2));
+        let (m, n) = match kind {
+            0 => (d1, d1),
+            1 => (hi, lo),
+            _ => (lo, hi),
+        };
+        (m, n, if small { b } else { big })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn qr_recursive_panels_are_bit_identical_across_drivers_and_schedules(
+        (m, n, block) in qr_recursion_shape(),
+        seed in any::<u64>(),
+    ) {
+        let a = random_matrix(&mut ChaCha8Rng::seed_from_u64(seed), m, n);
+        let sync = qr::qr_blocked(&a, block);
+        let tiled = qr::qr_tiled(&a, block);
+        prop_assert_eq!(&sync.taus, &tiled.taus, "tiled taus differ (m={} n={} b={})", m, n, block);
+        prop_assert!(sync.qr == tiled.qr, "tiled QR factors differ (m={m} n={n} b={block})");
+        for i in 0..REPLAY_SEEDS_PER_CASE {
+            let exec = DagExecution::Replay { seed: seed.wrapping_add(i) };
+            let label = format!("qr m={m} n={n} b={block} replay seed={}", seed.wrapping_add(i));
+            let input = a.clone();
+            let (dag, stats) = with_watchdog(label.clone(), move || {
+                let (f, _) = qr::qr_dag_with(&input, block, &(), exec);
+                (f, last_run_stats().expect("run must record stats"))
+            });
+            assert_exactly_once(stats, &label);
+            prop_assert_eq!(&sync.taus, &dag.taus, "taus differ ({})", &label);
+            prop_assert!(sync.qr == dag.qr, "QR factors not bit-identical ({})", &label);
+        }
+    }
+}
+
 /// One ABFT-fused DAG run: fresh per-iteration hooks (hooks are stateful), the
 /// factorization, and everything that must be schedule-independent about it.
 fn fused_lu_run(
