@@ -4,11 +4,11 @@
 //! every trailing tile after each iteration's updates) ran as a **serial epilogue**
 //! between parallel regions. [`FusedTileChecksums`] moves that same workload *into*
 //! the trailing-update tasks themselves: it implements
-//! [`bsr_linalg::task::TrailingHook`], so every per-tile-column task of the tiled
-//! steppers and the DAG drivers (`lu_dag_with` / `cholesky_dag_with` / `qr_dag_with`)
-//! encodes and verifies its own `tile_rows`-tall tiles right after producing them, on
-//! whichever pool thread ran the task — checksum work rides the parallel schedule
-//! instead of serializing it.
+//! [`bsr_linalg::task::TrailingHook`], so every per-tile-column task of the
+//! factorization graphs, stepped or run whole (`lu_dag_with` / `cholesky_dag_with` /
+//! `qr_dag_with`), encodes and verifies its own `tile_rows`-tall tiles right after
+//! producing them, on whichever pool thread ran the task — checksum work rides the
+//! parallel schedule instead of serializing it.
 //!
 //! Scope: like the serial epilogue it replaces, this hook encodes fresh checksums from
 //! the just-updated tile and immediately verifies against them — it exercises and
@@ -508,16 +508,17 @@ impl<E: Element> TrailingHook<E> for FusedTileChecksums {
     }
 }
 
-/// Per-iteration hook multiplexer for the whole-factorization DAG drivers
-/// (`lu_dag_with` / `cholesky_dag_with` / `qr_dag_with`).
+/// Per-iteration hook multiplexer for a factorization graph run over several
+/// iterations (`lu_dag_with` / `cholesky_dag_with` / `qr_dag_with`, or the numeric
+/// engine's `FactorGraph::run`).
 ///
-/// The barrier steppers run one [`FusedTileChecksums`] per iteration, created between
-/// iterations. A DAG run executes *all* iterations inside one task graph, so every
+/// One run executes all of its iterations inside one task graph, so every
 /// per-iteration hook must exist up front; this type holds them all and dispatches
-/// each `after_tile_update` call to the hook of the task's iteration. Hooks fire
-/// per-task exactly as in the barrier drivers — same (iteration, tile) visit set,
+/// each call to the hook of the task's iteration. Hooks fire per task exactly as when
+/// the iterations are stepped one graph at a time — same (iteration, tile) visit set,
 /// same commutative tallies — so fault/verification counts are schedule-independent.
 pub struct PerIterationChecksums {
+    first: usize,
     hooks: Vec<FusedTileChecksums>,
 }
 
@@ -525,7 +526,13 @@ impl PerIterationChecksums {
     /// Multiplex over `hooks[k]` for iteration `k`. The vector must have one entry
     /// per blocked iteration of the factorization it is fused into.
     pub fn new(hooks: Vec<FusedTileChecksums>) -> Self {
-        Self { hooks }
+        Self::starting_at(0, hooks)
+    }
+
+    /// Multiplex over `hooks[i]` for iteration `first + i`: the hooks of a run over
+    /// iterations `first..first + hooks.len()`.
+    pub fn starting_at(first: usize, hooks: Vec<FusedTileChecksums>) -> Self {
+        Self { first, hooks }
     }
 
     /// Number of per-iteration hooks.
@@ -535,7 +542,7 @@ impl PerIterationChecksums {
 
     /// The hook serving iteration `k`.
     pub fn hook(&self, k: usize) -> &FusedTileChecksums {
-        &self.hooks[k]
+        &self.hooks[k - self.first]
     }
 
     /// Verification outcome merged across all iterations.
@@ -573,7 +580,7 @@ impl<E: Element> TrailingHook<E> for PerIterationChecksums {
         row0: usize,
         cols: &mut [&mut [E]],
     ) -> TileVerdict {
-        self.hooks[iter].after_tile_update(iter, col0, row0, cols)
+        self.hook(iter).after_tile_update(iter, col0, row0, cols)
     }
 
     fn after_panel_factor(
@@ -583,7 +590,7 @@ impl<E: Element> TrailingHook<E> for PerIterationChecksums {
         row0: usize,
         cols: &mut [&mut [E]],
     ) -> TileVerdict {
-        self.hooks[iter].after_panel_factor(iter, col0, row0, cols)
+        self.hook(iter).after_panel_factor(iter, col0, row0, cols)
     }
 
     fn wants_snapshots(&self) -> bool {
@@ -596,9 +603,35 @@ mod tests {
     use super::*;
     use bsr_linalg::dag::DagExecution;
     use bsr_linalg::generate::{random_matrix, random_spd_matrix};
+    use bsr_linalg::matrix::Matrix;
     use bsr_linalg::{cholesky, lu, qr};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// The stepped drivers: the prologue, then one graph per iteration under `hook`.
+    fn lu_stepped(a: &Matrix, b: usize, hook: &dyn TrailingHook) -> lu::LuFactors {
+        let mut stepper = lu::LuTiledStepper::new(a, b).unwrap();
+        for k in 0..stepper.iterations() {
+            stepper.step(k, hook).unwrap();
+        }
+        stepper.into_factors()
+    }
+
+    fn cholesky_stepped(a: &Matrix, b: usize, hook: &dyn TrailingHook) -> Matrix {
+        let mut stepper = cholesky::CholeskyTiledStepper::new(a.clone(), b).unwrap();
+        for k in 0..stepper.iterations() {
+            stepper.step(k, hook).unwrap();
+        }
+        stepper.into_matrix()
+    }
+
+    fn qr_stepped(a: &Matrix, b: usize, hook: &dyn TrailingHook) -> qr::QrFactors {
+        let mut stepper = qr::QrTiledStepper::new(a, b);
+        for k in 0..stepper.iterations() {
+            stepper.step(k, hook);
+        }
+        stepper.into_factors()
+    }
 
     #[test]
     fn fused_runs_match_unfused_and_verify_clean() {
@@ -608,8 +641,8 @@ mod tests {
 
         let a = random_matrix(&mut rng, n, n);
         let hook = FusedTileChecksums::new(ChecksumScheme::Full, b);
-        let fused = lu::lu_tiled_with(&a, b, &hook).unwrap();
-        let plain = lu::lu_tiled(&a, b).unwrap();
+        let fused = lu_stepped(&a, b, &hook);
+        let plain = lu_stepped(&a, b, &());
         assert_eq!(fused.lu, plain.lu, "fused LU changed the factors");
         assert_eq!(fused.pivots, plain.pivots);
         let out = hook.outcome();
@@ -619,17 +652,15 @@ mod tests {
 
         let spd = random_spd_matrix(&mut rng, n);
         let hook = FusedTileChecksums::new(ChecksumScheme::Full, b);
-        let mut fused = spd.clone();
-        cholesky::cholesky_tiled_with(&mut fused, b, &hook).unwrap();
-        let mut plain = spd.clone();
-        cholesky::cholesky_tiled(&mut plain, b).unwrap();
+        let fused = cholesky_stepped(&spd, b, &hook);
+        let plain = cholesky_stepped(&spd, b, &());
         assert_eq!(fused, plain, "fused Cholesky changed the factors");
         assert!(hook.outcome().is_clean_or_corrected());
 
         let a = random_matrix(&mut rng, n, n);
         let hook = FusedTileChecksums::new(ChecksumScheme::Full, b);
-        let fused = qr::qr_tiled_with(&a, b, &hook);
-        let plain = qr::qr_tiled(&a, b);
+        let fused = qr_stepped(&a, b, &hook);
+        let plain = qr_stepped(&a, b, &());
         assert_eq!(fused.qr, plain.qr, "fused QR changed the factors");
         assert_eq!(fused.taus, plain.taus);
         assert!(hook.outcome().is_clean_or_corrected());
@@ -638,7 +669,7 @@ mod tests {
     #[test]
     fn dag_run_with_per_iteration_hooks_matches_stepped_hooks() {
         // The DAG driver runs all iterations inside one task graph, so its hooks are
-        // multiplexed per iteration; the barrier driver keeps one hook across all
+        // multiplexed per iteration; the stepped driver keeps one hook across all
         // iterations. Same (iteration, tile) visit set ⇒ same factors and, after
         // merging, the same commutative tallies.
         let mut rng = ChaCha8Rng::seed_from_u64(79);
@@ -648,7 +679,7 @@ mod tests {
         let a = random_matrix(&mut rng, n, n);
 
         let barrier_hook = FusedTileChecksums::new(ChecksumScheme::Full, b);
-        let barrier = lu::lu_tiled_with(&a, b, &barrier_hook).unwrap();
+        let barrier = lu_stepped(&a, b, &barrier_hook);
 
         let dag_hook = PerIterationChecksums::new(
             (0..iters).map(|_| FusedTileChecksums::new(ChecksumScheme::Full, b)).collect(),

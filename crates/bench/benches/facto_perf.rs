@@ -19,13 +19,15 @@
 //!
 //! * **forkjoin** — the synchronous drivers (panel → barrier → trailing update, the
 //!   PR 3 paths), whose BLAS-3 regions fan out on the persistent pool;
-//! * **tiled** — the task-parallel drivers (`lu_tiled` / `cholesky_tiled` /
-//!   `qr_tiled`): per-tile-column trailing-update tasks with one-step panel
-//!   lookahead, bit-identical results to forkjoin at every thread count;
-//! * **dag** — the dependency-driven drivers (`lu_dag` / `cholesky_dag` / `qr_dag`):
-//!   per-tile dependency counters instead of per-iteration barriers, so lookahead
-//!   depth is unbounded and iteration `k + 2`'s updates start while iteration `k`'s
-//!   slow tiles are still in flight; results stay bit-identical to both other models.
+//! * **tiled** — the stepped drivers (`LuTiledStepper` / `CholeskyTiledStepper` /
+//!   `QrTiledStepper`): one task graph of per-tile-column trailing-update tasks per
+//!   iteration, one-step panel lookahead, bit-identical results to forkjoin at every
+//!   thread count;
+//! * **dag** — the same graph run whole (`lu_dag` / `cholesky_dag` / `qr_dag`):
+//!   per-tile dependency counters across iterations instead of one graph each, so
+//!   lookahead depth is unbounded and iteration `k + 2`'s updates start while
+//!   iteration `k`'s slow tiles are still in flight; results stay bit-identical to
+//!   both other models.
 //!
 //! Each (facto, n, threads) cell is measured with the same paired interleaved A/B/C
 //! design, plus ABFT-**fused** tiled and DAG runs (`FusedTileChecksums` hooks: every
@@ -59,6 +61,7 @@ use bsr_linalg::blas3::{
 };
 use bsr_linalg::generate::{random_matrix, random_spd_matrix};
 use bsr_linalg::matrix::{Block, Matrix};
+use bsr_linalg::task::TrailingHook;
 use bsr_linalg::{cholesky, lu, qr, tune};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -467,21 +470,12 @@ use rayon::ThreadCountGuard;
 const LOOKAHEAD_VARIANTS: [&str; 3] = ["forkjoin", "tiled", "dag"];
 
 /// One execution-model run: `forkjoin` is the synchronous PR 3 driver, `tiled` the
-/// barrier-stepped task-parallel lookahead driver, `dag` the dependency-driven driver
-/// with depth-unbounded lookahead. All include the input copy, so the comparison is
-/// end-to-end.
+/// stepped driver (one task graph per iteration, one-step lookahead), `dag` the same
+/// graph run whole with depth-unbounded lookahead. All include the input copy, so the
+/// comparison is end-to-end.
 fn run_lookahead(facto: &str, variant: &str, input: &Matrix, work: &mut Matrix, block: usize) {
     match (facto, variant) {
-        ("cholesky", "tiled") => {
-            work.clone_from(input);
-            cholesky::cholesky_tiled(work, block).unwrap();
-        }
-        ("lu", "tiled") => {
-            std::hint::black_box(lu::lu_tiled(input, block).unwrap());
-        }
-        ("qr", "tiled") => {
-            std::hint::black_box(qr::qr_tiled(input, block));
-        }
+        (_, "tiled") => run_stepped(facto, input, block, &()),
         ("cholesky", "dag") => {
             work.clone_from(input);
             cholesky::cholesky_dag(work, block).unwrap();
@@ -494,6 +488,35 @@ fn run_lookahead(facto: &str, variant: &str, input: &Matrix, work: &mut Matrix, 
         }
         (_, "forkjoin") => run_variant(facto, "slice", input, work, block),
         other => unreachable!("unknown configuration {other:?}"),
+    }
+}
+
+/// The stepped drivers (`LuTiledStepper` and friends): the prologue, then one task
+/// graph per iteration with `hook` fused into every trailing task.
+fn run_stepped(facto: &str, input: &Matrix, block: usize, hook: &dyn TrailingHook) {
+    match facto {
+        "cholesky" => {
+            let mut s = cholesky::CholeskyTiledStepper::new(input.clone(), block).unwrap();
+            for k in 0..s.iterations() {
+                s.step(k, hook).unwrap();
+            }
+            std::hint::black_box(s.into_matrix());
+        }
+        "lu" => {
+            let mut s = lu::LuTiledStepper::new(input, block).unwrap();
+            for k in 0..s.iterations() {
+                s.step(k, hook).unwrap();
+            }
+            std::hint::black_box(s.into_factors());
+        }
+        "qr" => {
+            let mut s = qr::QrTiledStepper::new(input, block);
+            for k in 0..s.iterations() {
+                s.step(k, hook);
+            }
+            std::hint::black_box(s.into_factors());
+        }
+        other => unreachable!("unknown facto {other}"),
     }
 }
 
@@ -523,23 +546,11 @@ struct FusedRow {
     gflops: f64,
 }
 
-/// Tiled factorization with `FusedTileChecksums` riding every trailing task.
+/// Stepped factorization with `FusedTileChecksums` riding every trailing task.
 fn run_fused(facto: &str, input: &Matrix, block: usize) -> (f64, f64) {
     let hook = FusedTileChecksums::new(ChecksumScheme::Full, block);
     let start = Instant::now();
-    match facto {
-        "cholesky" => {
-            let mut a = input.clone();
-            cholesky::cholesky_tiled_with(&mut a, block, &hook).unwrap();
-        }
-        "lu" => {
-            std::hint::black_box(lu::lu_tiled_with(input, block, &hook).unwrap());
-        }
-        "qr" => {
-            std::hint::black_box(qr::qr_tiled_with(input, block, &hook));
-        }
-        other => unreachable!("unknown facto {other}"),
-    }
+    run_stepped(facto, input, block, &hook);
     let total = start.elapsed().as_secs_f64();
     assert!(hook.outcome().is_clean_or_corrected());
     (total, hook.checksum_seconds())

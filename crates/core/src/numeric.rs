@@ -10,19 +10,19 @@
 //! 1. the iteration's [`IterationPlan`](bsr_sched::strategy::IterationPlan) comes from
 //!    `bsr-sched` via [`AnalyticDriver::begin_step`] (frequencies, guardbands, ABFT
 //!    scheme, sampled SDC events);
-//! 2. the trailing update runs on `bsr-linalg`'s task runtime. With measured feedback
-//!    **on** that is the per-tile-column tiled steppers ([`lu::LuTiledStepper`],
-//!    [`cholesky::CholeskyTiledStepper`], [`qr::QrTiledStepper`]) with one-step panel
-//!    lookahead — feedback needs each iteration's measured durations before planning
-//!    the next, which inherently caps lookahead at one panel. With feedback **off**
-//!    every iteration is planned up front and the whole factorization runs as one
-//!    dependency-driven task DAG ([`lu::lu_dag_with`], [`cholesky::cholesky_dag_with`],
-//!    [`qr::qr_dag_with`]) with depth-unbounded lookahead: a trailing tile of
-//!    iteration `k + 2` starts the moment its inputs are final, while slow tiles of
-//!    iteration `k` are still in flight. [`Precision`] only picks the element type
-//!    of that DAG run: a [`Precision::MixedF32`] job is the same arm at `E = f32`
-//!    (same graph, hooks, recovery ladder and accounting) followed by an f64
-//!    iterative-refinement epilogue;
+//! 2. the iteration runs in the decomposition's task graph on `bsr-linalg`'s
+//!    dependency-driven runtime ([`lu::LuTiledStepper`],
+//!    [`cholesky::CholeskyTiledStepper`], [`qr::QrTiledStepper`], all a
+//!    [`FactorGraph`]), under one of two execution policies of the same graph. With
+//!    measured feedback **on**, each iteration runs as its own graph, because feedback
+//!    needs its measured durations before the next one is planned; that caps
+//!    lookahead at one panel. With feedback **off** every iteration is planned up
+//!    front and the whole factorization runs as one graph with depth-unbounded
+//!    lookahead: a trailing tile of iteration `k + 2` starts the moment its inputs
+//!    are final, while slow tiles of iteration `k` are still in flight. [`Precision`]
+//!    only picks the element type: a [`Precision::MixedF32`] job is the same graph at
+//!    `E = f32` (same hooks, recovery ladder and accounting, whole-run) followed by an
+//!    f64 iterative-refinement epilogue;
 //! 3. checksum maintenance rides those tasks through `bsr-abft`'s
 //!    [`FusedTileChecksums`] — one hook for both element types, always computing in
 //!    f64 — every iteration the active scheme protects pays the full encode + verify
@@ -42,14 +42,13 @@ use crate::analytic::{AnalyticDriver, ObservedDurations};
 use crate::config::{Precision, RunConfig};
 use crate::report::RunReport;
 use crate::trace::SdcEvent;
-use bsr_abft::checksum::{ChecksumScheme, VerifyOutcome};
+use bsr_abft::checksum::VerifyOutcome;
 use bsr_abft::fused::{FaultTarget, FusedTileChecksums, PerIterationChecksums, PlannedFault};
 use bsr_abft::recover::{RecoveryAction, RecoveryEvent, RecoveryTracker};
-use bsr_linalg::dag::{DagExecution, DagTiming};
+use bsr_linalg::dag::{DagExecution, FactorGraph};
 use bsr_linalg::generate::{random_matrix, random_spd_matrix};
 use bsr_linalg::matrix::{Block, Matrix};
 use bsr_linalg::solve::{cholesky_solve, lu_solve};
-use bsr_linalg::task::{StepTiming, TrailingHook};
 use bsr_linalg::verify::{cholesky_residual, lu_residual, qr_residual, CORRECTNESS_THRESHOLD};
 use bsr_linalg::{blas3, cholesky, lu, qr, Element, Trans};
 use bsr_sched::workload::Decomposition;
@@ -58,6 +57,7 @@ use hetero_sim::sdc::FaultMix;
 use hetero_sim::timeline::Timeline;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -129,6 +129,25 @@ impl std::fmt::Display for NumericError {
 
 impl std::error::Error for NumericError {}
 
+impl From<cholesky::CholeskyError> for NumericError {
+    fn from(e: cholesky::CholeskyError) -> Self {
+        NumericError::Cholesky(e)
+    }
+}
+
+impl From<lu::LuError> for NumericError {
+    fn from(e: lu::LuError) -> Self {
+        NumericError::Lu(e)
+    }
+}
+
+/// QR panels cannot fail.
+impl From<Infallible> for NumericError {
+    fn from(e: Infallible) -> Self {
+        match e {}
+    }
+}
+
 /// The factors a numeric-mode run produced.
 #[derive(Debug, Clone)]
 pub enum NumericFactors {
@@ -154,8 +173,7 @@ impl NumericFactors {
     /// mixed-precision variants demote the right-hand side, solve in f32 and
     /// promote (a single preconditioner sweep — callers wanting f64-accurate
     /// solutions should request them through the run's refinement record).
-    /// Returns `None` for QR factors: the least-squares solve is not offered yet
-    /// (ROADMAP item 5).
+    /// Returns `None` for QR factors: the least-squares solve is not offered.
     pub fn solve(&self, b: &Matrix) -> Option<Matrix> {
         match self {
             NumericFactors::Cholesky(l) => Some(cholesky_solve(l, b)),
@@ -175,11 +193,12 @@ pub struct MeasuredIteration {
     pub k: usize,
     /// Measured duration of the lookahead panel factorization (panel `k + 1`).
     pub pd_s: f64,
-    /// Measured duration of the iteration's trailing update. Under the stepped
-    /// runtime this is the wall-clock duration of the barrier-delimited task region
-    /// (includes the lookahead panel and the fused checksum work); under the DAG
-    /// runtime it is the CPU-summed duration of the iteration's trailing-update
-    /// tasks, which overlap other iterations and belong to no wall-clock phase.
+    /// Measured duration of the iteration's trailing update. Under the per-iteration
+    /// policy (measured feedback on) this is the wall-clock duration of the
+    /// iteration's own task graph (includes the lookahead panel and the fused checksum
+    /// work), the duration the predictor learns from; under the whole-run policy it is
+    /// the CPU-summed duration of the iteration's trailing-update tasks, which overlap
+    /// other iterations and belong to no wall-clock phase.
     pub update_s: f64,
     /// Fused checksum seconds of this iteration (CPU-summed across tasks).
     pub checksum_s: f64,
@@ -299,78 +318,6 @@ fn mean_relative_error(pairs: impl Iterator<Item = (f64, f64)>) -> Option<f64> {
     }
 }
 
-/// The tiled stepper of whichever decomposition the workload runs.
-enum Engine {
-    Cholesky(cholesky::CholeskyTiledStepper),
-    Lu(lu::LuTiledStepper),
-    Qr(qr::QrTiledStepper),
-}
-
-/// A pre-iteration deep copy of the stepper state (ladder step 3's replay source).
-enum EngineCheckpoint {
-    Cholesky(Matrix),
-    Lu((Matrix, Vec<usize>)),
-    Qr((Matrix, Vec<f64>, Matrix)),
-}
-
-impl Engine {
-    fn new(dec: Decomposition, input: &Matrix, block: usize) -> Result<Self, NumericError> {
-        match dec {
-            Decomposition::Cholesky => cholesky::CholeskyTiledStepper::new(input.clone(), block)
-                .map(Engine::Cholesky)
-                .map_err(NumericError::Cholesky),
-            Decomposition::Lu => lu::LuTiledStepper::new(input, block)
-                .map(Engine::Lu)
-                .map_err(NumericError::Lu),
-            Decomposition::Qr => Ok(Engine::Qr(qr::QrTiledStepper::new(input, block))),
-        }
-    }
-
-    fn prologue_panel_s(&self) -> f64 {
-        match self {
-            Engine::Cholesky(s) => s.prologue_panel_s(),
-            Engine::Lu(s) => s.prologue_panel_s(),
-            Engine::Qr(s) => s.prologue_panel_s(),
-        }
-    }
-
-    fn step(&mut self, k: usize, hook: &dyn TrailingHook) -> Result<StepTiming, NumericError> {
-        match self {
-            Engine::Cholesky(s) => s.step(k, hook).map_err(NumericError::Cholesky),
-            Engine::Lu(s) => s.step(k, hook).map_err(NumericError::Lu),
-            Engine::Qr(s) => Ok(s.step(k, hook)),
-        }
-    }
-
-    /// Deep-copy the stepper state before an iteration, so a failed recovery
-    /// attempt can replay the iteration from identical bits.
-    fn checkpoint(&self) -> EngineCheckpoint {
-        match self {
-            Engine::Cholesky(s) => EngineCheckpoint::Cholesky(s.checkpoint()),
-            Engine::Lu(s) => EngineCheckpoint::Lu(s.checkpoint()),
-            Engine::Qr(s) => EngineCheckpoint::Qr(s.checkpoint()),
-        }
-    }
-
-    fn restore(&mut self, snap: &EngineCheckpoint) {
-        match (self, snap) {
-            (Engine::Cholesky(s), EngineCheckpoint::Cholesky(c)) => s.restore(c),
-            (Engine::Lu(s), EngineCheckpoint::Lu(c)) => s.restore(c),
-            (Engine::Qr(s), EngineCheckpoint::Qr(c)) => s.restore(c),
-            _ => unreachable!("checkpoint/engine decomposition mismatch"),
-        }
-    }
-
-    /// Package the factors after the final step.
-    fn into_factors(self) -> NumericFactors {
-        match self {
-            Engine::Cholesky(s) => NumericFactors::Cholesky(s.into_matrix()),
-            Engine::Lu(s) => NumericFactors::Lu(s.into_factors()),
-            Engine::Qr(s) => NumericFactors::Qr(s.into_factors()),
-        }
-    }
-}
-
 /// The final numerical verification every run ends with: the relative factorization
 /// residual against the original input. Cholesky factor storage goes in as it is
 /// (`cholesky_residual` reads the lower triangle only); f32 factors are promoted.
@@ -444,324 +391,230 @@ pub fn run_numeric_on(cfg: RunConfig, input: &Matrix) -> Result<NumericRunReport
     result
 }
 
-/// Engine dispatch shared by every execution surface: stepped (measured feedback)
-/// or whole-run DAG. Mixed-precision runs always take the DAG arm — the steppers are
-/// f64-only, and the refinement epilogue wants the whole factorization anyway — so
-/// `measured_feedback` is ignored for them. The caller has already validated the
-/// input shape.
+/// Engine dispatch shared by every execution surface: the decomposition's task graph
+/// at the run's element type, driven by [`run_graph`]. [`Precision::MixedF32`] is the
+/// same graph at `E = f32` over the demoted input; QR has no f32 path. The caller has
+/// already validated the input shape.
 pub(crate) fn dispatch(cfg: RunConfig, input: &Matrix) -> Result<NumericRunReport, NumericError> {
-    if cfg.measured_feedback && cfg.precision == Precision::F64 {
-        run_numeric_stepped(cfg, input)
-    } else {
-        run_numeric_dag(cfg, input)
+    let b = cfg.workload.block;
+    match (cfg.workload.decomposition, cfg.precision) {
+        (Decomposition::Cholesky, Precision::F64) => run_graph(
+            cfg,
+            input,
+            || cholesky::CholeskyTiledStepper::new(input.clone(), b),
+            |g| NumericFactors::Cholesky(g.into_matrix()),
+        ),
+        (Decomposition::Cholesky, Precision::MixedF32) => {
+            let a = input.demote();
+            run_graph(
+                cfg,
+                input,
+                || cholesky::CholeskyTiledStepper::new(a.clone(), b),
+                |g| NumericFactors::MixedCholesky(g.into_matrix()),
+            )
+        }
+        (Decomposition::Lu, Precision::F64) => run_graph(
+            cfg,
+            input,
+            || lu::LuTiledStepper::new(input, b),
+            |g| NumericFactors::Lu(g.into_factors()),
+        ),
+        (Decomposition::Lu, Precision::MixedF32) => {
+            let a = input.demote();
+            run_graph(
+                cfg,
+                input,
+                || lu::LuTiledStepper::new(&a, b),
+                |g| NumericFactors::MixedLu(g.into_factors()),
+            )
+        }
+        (Decomposition::Qr, Precision::F64) => run_graph(
+            cfg,
+            input,
+            || Ok(qr::QrTiledStepper::new(input, b)),
+            |g| NumericFactors::Qr(g.into_factors()),
+        ),
+        (dec @ Decomposition::Qr, Precision::MixedF32) => {
+            Err(NumericError::MixedUnsupported { dec })
+        }
     }
 }
 
-/// Measured-feedback path: one barrier-stepped iteration at a time, so each
-/// iteration's measured durations can reach the predictor before the next plan.
-fn run_numeric_stepped(
+/// The engine loop: plan, run the task graph `build` makes with checksums fused per
+/// task, recover, and account, under one of two execution policies.
+///
+/// - **Per-iteration** (`measured_feedback` on an f64 run): each iteration is its own
+///   graph, planned after the previous one's measured durations have reached the
+///   predictor — the paper's feedback loop, which caps lookahead at one panel.
+/// - **Whole-run** (otherwise): every iteration is planned up front, so the plans see
+///   only the analytic predictor and the seeded SDC sampler (bit-reproducible), and
+///   the factorization runs as one graph with depth-unbounded lookahead. Mixed runs
+///   stay here whatever `measured_feedback` says, which keeps their plans
+///   reproducible.
+///
+/// The per-iteration record attributes measured durations to tasks: `pd_s` is the
+/// iteration's lookahead `Panel(k + 1)` task, `checksum_s` its fused-hook encode +
+/// verify share. `update_s` is the wall time of the iteration's graph per-iteration
+/// (what the predictor learns from), and the CPU-summed duration of its trailing tasks
+/// whole-run, where they overlap other iterations' tasks and no wall interval
+/// contains them.
+///
+/// A mixed run appends the f64 refinement epilogue ([`refine`]). What differs, all
+/// visible in the report: `numerically_correct` means *refinement converged to f64
+/// backward error* (the `residual` of the promoted f32 factors is f32-accurate by
+/// construction), and the timeline ends in a `REFINE` task.
+fn run_graph<E: Element, G: FactorGraph<E>>(
     cfg: RunConfig,
     input: &Matrix,
-) -> Result<NumericRunReport, NumericError> {
-    let n = cfg.workload.n;
-    let b = cfg.workload.block;
-    let dec = cfg.workload.decomposition;
-    let feedback = cfg.measured_feedback;
+    build: impl Fn() -> Result<G, G::Error>,
+    into_factors: impl FnOnce(G) -> NumericFactors,
+) -> Result<NumericRunReport, NumericError>
+where
+    NumericError: From<G::Error>,
+{
+    let (n, b, dec) = (cfg.workload.n, cfg.workload.block, cfg.workload.decomposition);
+    let iterations = cfg.workload.iterations();
+    let per_iteration = cfg.measured_feedback && cfg.precision == Precision::F64;
+    // The policy is how many iterations one graph runs.
+    let per_graph = if per_iteration { 1 } else { iterations.max(1) };
     let mut inject_rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x0bad_5eed);
-
     let mut driver = AnalyticDriver::new(cfg.clone());
-    let mut engine = Engine::new(dec, input, b)?;
-    let mut timeline = Timeline::new();
-    // Panel 0 is the sequential prologue every hybrid run pays before its first
-    // overlapped iteration: charge it to the CPU stream at the base clock.
-    let cpu_base = driver.platform().cpu.base_freq;
-    timeline.push_task(DeviceKind::Cpu, "PD0", 0, engine.prologue_panel_s(), cpu_base);
-    timeline.sync();
-
     let tracker =
         cfg.recovery.enabled.then(|| Arc::new(RecoveryTracker::new(cfg.recovery)));
+    let mut graph = build()?;
     let mut verification = VerifyOutcome::default();
     let mut faults_injected = 0usize;
-    let mut measured = Vec::with_capacity(cfg.workload.iterations());
     let mut checksum_cpu_s = 0.0;
+    let mut measured = Vec::with_capacity(iterations);
+    let mut clocks = Vec::with_capacity(iterations);
 
-    for k in 0..cfg.workload.iterations() {
-        // --- plan the iteration and sample its SDC events -----------------------------
-        let pending = driver.begin_step(k);
-        let scheme = pending.trace().abft;
-        let tiles = protected_tiles(dec, n, b, k);
-        let panel_col = ((k + 1) * b < n).then(|| (k + 1) * b);
-        let faults = if tiles.is_empty() {
-            Vec::new()
-        } else {
-            plan_faults_with_mix(
-                &pending.trace().sdc_events,
-                &tiles,
-                &mut inject_rng,
-                &cfg.fault_mix,
-                panel_col,
-            )
-        };
-
-        // --- execute the real tiled iteration with fused checksums --------------------
-        // The early-out is reserved for unprotected, fault-free iterations: whenever
-        // the active scheme protects the iteration, encode + verify run on every
-        // trailing tile (the per-iteration ABFT cost is paid whether or not a fault
-        // happens to be sampled — faults are rare, the cost is not).
-        let (timing, outcome, iter_checksum_s, injected) =
-            if scheme == ChecksumScheme::None && faults.is_empty() {
-                (engine.step(k, &())?, VerifyOutcome::default(), 0.0, 0)
-            } else if let Some(tracker) = &tracker {
-                // Recovery ladder, stepped flavor: steps 1–2 (in-place correction,
-                // tile/panel recomputation) happen *inside* the step via the hook's
-                // verdicts; step 3 replays the whole iteration from its checkpoint
-                // when some site gave up locally. A fresh hook per attempt keeps
-                // the final tallies identical to a clean run's whenever recovery
-                // succeeds — rolled-back attempts leave no trace.
-                let checkpoint = engine.checkpoint();
-                let mut attempt_checksum_s = 0.0;
-                loop {
-                    let hook = FusedTileChecksums::with_faults(scheme, b, faults.clone())
-                        .with_recovery(Arc::clone(tracker));
-                    let timing = engine.step(k, &hook)?;
-                    attempt_checksum_s += hook.checksum_seconds();
-                    if tracker.is_suspect() {
-                        // Persistent fault: recomputing or replaying would loop.
-                        return Err(NumericError::UnrecoverableFault {
-                            history: tracker.history(),
-                        });
-                    }
-                    if !tracker.has_unresolved() {
-                        let injected = hook.faults_injected();
-                        break (timing, hook.outcome(), attempt_checksum_s, injected);
-                    }
-                    if !tracker.begin_replay(RecoveryAction::IterationReplayed) {
-                        return Err(NumericError::UnrecoverableFault {
-                            history: tracker.history(),
-                        });
-                    }
-                    engine.restore(&checkpoint);
-                }
+    for start in (0..iterations).step_by(per_graph) {
+        let seg = start..(start + per_graph).min(iterations);
+        // --- plan the segment's iterations and sample their SDC events ------------------
+        // The injection RNG is drawn in iteration order under either policy, so both
+        // plan bit-identical faults for the same plans.
+        let mut plans = Vec::with_capacity(seg.len());
+        let mut pending = None;
+        for k in seg.clone() {
+            let step = driver.begin_step(k);
+            let trace = step.trace();
+            let tiles = protected_tiles(dec, n, b, k);
+            let panel_col = ((k + 1) * b < n).then(|| (k + 1) * b);
+            let faults = if tiles.is_empty() {
+                Vec::new()
             } else {
-                let hook = FusedTileChecksums::with_faults(scheme, b, faults);
-                let timing = engine.step(k, &hook)?;
-                let injected = hook.faults_injected();
-                (timing, hook.outcome(), hook.checksum_seconds(), injected)
+                plan_faults_with_mix(
+                    &trace.sdc_events,
+                    &tiles,
+                    &mut inject_rng,
+                    &cfg.fault_mix,
+                    panel_col,
+                )
             };
-        verification.merge(&outcome);
-        faults_injected += injected;
-        checksum_cpu_s += iter_checksum_s;
-
-        // --- charge the measured durations to the two-stream timeline -----------------
-        let (cpu_freq, gpu_freq) = (pending.trace().cpu_freq, pending.trace().gpu_freq);
-        timeline.push_task(DeviceKind::Cpu, "PD", k, timing.panel_s, cpu_freq);
-        timeline.push_task(DeviceKind::Gpu, "UPDATE", k, timing.update_s, gpu_freq);
-        timeline.sync();
-
-        // --- commit: feed measured durations back into the predictor ------------------
-        let preds = pending.predictions();
-        let analytic = pending.trace().timing;
-        let observed = ObservedDurations { pd_s: timing.panel_s, update_s: timing.update_s };
-        driver.finish_step(pending, feedback.then_some(&observed));
-        measured.push(MeasuredIteration {
-            k,
-            pd_s: timing.panel_s,
-            update_s: timing.update_s,
-            checksum_s: iter_checksum_s,
-            predicted_pd_s: preds.map(|p| p.cpu_s),
-            predicted_update_s: preds.map(|p| p.gpu_s),
-            analytic_pd_s: analytic.pd_s,
-            analytic_update_s: analytic.pu_s + analytic.tmu_s + analytic.abft_s,
-        });
-    }
-
-    // --- final numerical verification against the original input ----------------------
-    let factors = engine.into_factors();
-    let residual = factorization_residual(input, &factors);
-    let report = driver.into_report();
-    Ok(NumericRunReport {
-        numerically_correct: residual < CORRECTNESS_THRESHOLD,
-        report,
-        factors,
-        residual,
-        verification,
-        faults_injected,
-        timeline,
-        measured,
-        checksum_cpu_s,
-        recovery: tracker.map(|t| t.history()).unwrap_or_default(),
-        mixed: None,
-    })
-}
-
-/// Feedback-off path: plan every iteration up front (deterministic — the plans see
-/// only the analytic predictor and the seeded SDC sampler), then run the whole
-/// factorization as one dependency-driven task DAG with depth-unbounded lookahead.
-///
-/// The per-iteration accounting attributes measured durations to *DAG tasks* instead
-/// of barrier phases: `pd_s` is the wall-clock duration of the iteration's lookahead
-/// panel task, `update_s` is the CPU-summed duration of the iteration's trailing
-/// update tasks (they overlap other iterations' tasks, so no single wall-clock phase
-/// contains them), and `checksum_s` is the iteration's fused-hook encode + verify
-/// share of that total.
-///
-/// [`Precision::MixedF32`] runs this same arm at `E = f32`: the input is demoted
-/// once, the generic DAG drivers factor it under the same hooks (which promote each
-/// tile to f64 for the checksum work), and the f64 refinement epilogue ([`refine`])
-/// is appended. What differs, all visible in the report: `numerically_correct` means
-/// *refinement converged to f64 backward error* (the `residual` of the promoted f32
-/// factors is f32-accurate by construction), the timeline ends in a `REFINE` task,
-/// and QR — which has no f32 driver — returns [`NumericError::MixedUnsupported`].
-fn run_numeric_dag(cfg: RunConfig, input: &Matrix) -> Result<NumericRunReport, NumericError> {
-    let n = cfg.workload.n;
-    let b = cfg.workload.block;
-    let dec = cfg.workload.decomposition;
-    let input_f32 = match cfg.precision {
-        Precision::F64 => None,
-        Precision::MixedF32 if dec == Decomposition::Qr => {
-            return Err(NumericError::MixedUnsupported { dec });
+            plans.push((trace.abft, faults));
+            clocks.push((trace.cpu_freq, trace.gpu_freq));
+            let (preds, analytic) = (step.predictions(), trace.timing);
+            measured.push(MeasuredIteration {
+                k,
+                pd_s: 0.0,
+                update_s: 0.0,
+                checksum_s: 0.0,
+                predicted_pd_s: preds.map(|p| p.cpu_s),
+                predicted_update_s: preds.map(|p| p.gpu_s),
+                analytic_pd_s: analytic.pd_s,
+                analytic_update_s: analytic.pu_s + analytic.tmu_s + analytic.abft_s,
+            });
+            if per_iteration {
+                pending = Some(step);
+            } else {
+                driver.finish_step(step, None);
+            }
         }
-        Precision::MixedF32 => Some(input.demote()),
-    };
-    let mut inject_rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x0bad_5eed);
 
-    let mut driver = AnalyticDriver::new(cfg.clone());
-    let iterations = cfg.workload.iterations();
-
-    // --- plan every iteration and sample its SDC events up front -----------------------
-    // Identical driver interaction to the stepped path with feedback off: begin_step,
-    // record the plan, finish_step with no observation. The injection RNG is drawn in
-    // iteration order, so the planned faults are bit-identical to a stepped run.
-    let mut fault_plans: Vec<(ChecksumScheme, Vec<PlannedFault>)> =
-        Vec::with_capacity(iterations);
-    let mut plans = Vec::with_capacity(iterations);
-    for k in 0..iterations {
-        let pending = driver.begin_step(k);
-        let scheme = pending.trace().abft;
-        let tiles = protected_tiles(dec, n, b, k);
-        let panel_col = ((k + 1) * b < n).then(|| (k + 1) * b);
-        let faults = if tiles.is_empty() {
-            Vec::new()
-        } else {
-            plan_faults_with_mix(
-                &pending.trace().sdc_events,
-                &tiles,
-                &mut inject_rng,
-                &cfg.fault_mix,
-                panel_col,
-            )
-        };
-        fault_plans.push((scheme, faults));
-        plans.push((
-            pending.predictions(),
-            pending.trace().timing,
-            pending.trace().cpu_freq,
-            pending.trace().gpu_freq,
-        ));
-        driver.finish_step(pending, None);
-    }
-
-    let tracker =
-        cfg.recovery.enabled.then(|| Arc::new(RecoveryTracker::new(cfg.recovery)));
-
-    // --- DAG runs over the whole factorization, checksums fused per task ---------------
-    // Recovery ladder, DAG flavor: steps 1–2 run inside the graph (an uncorrectable
-    // tile's task is resubmitted through the DAG's retry path — same task id,
-    // exactly-once accounting preserved); step 3 replays the *whole run* from the
-    // saved per-iteration plans with fresh hooks and the shared tracker, because a
-    // depth-unbounded schedule has no iteration boundary to checkpoint at. Without
-    // recovery the loop runs exactly once.
-    let (factors, timing, hook) = loop {
-        let hook = PerIterationChecksums::new(
-            fault_plans
-                .iter()
-                .map(|(scheme, faults)| {
-                    let h = FusedTileChecksums::with_faults(*scheme, b, faults.clone());
-                    match &tracker {
-                        Some(t) => h.with_recovery(Arc::clone(t)),
-                        None => h,
-                    }
-                })
-                .collect(),
-        );
-        let (factors, timing) = match (dec, &input_f32) {
-            (Decomposition::Cholesky, None) => {
-                let (m, timing) = cholesky_dag(input, b, &hook)?;
-                (NumericFactors::Cholesky(m), timing)
-            }
-            (Decomposition::Cholesky, Some(a)) => {
-                let (m, timing) = cholesky_dag(a, b, &hook)?;
-                (NumericFactors::MixedCholesky(m), timing)
-            }
-            (Decomposition::Lu, None) => {
-                let (f, timing) = lu::lu_dag_with(input, b, &hook, DagExecution::Pool)
-                    .map_err(NumericError::Lu)?;
-                (NumericFactors::Lu(f), timing)
-            }
-            (Decomposition::Lu, Some(a)) => {
-                let (f, timing) = lu::lu_dag_with(a, b, &hook, DagExecution::Pool)
-                    .map_err(NumericError::Lu)?;
-                (NumericFactors::MixedLu(f), timing)
-            }
-            (Decomposition::Qr, _) => {
-                let (f, timing) = qr::qr_dag_with(input, b, &hook, DagExecution::Pool);
-                (NumericFactors::Qr(f), timing)
-            }
-        };
-        if let Some(t) = &tracker {
+        // --- run the segment's graph, checksums fused per task -------------------------
+        // Recovery ladder: steps 1–2 (in-place correction, tile/panel recomputation) run
+        // inside the graph through the hooks' verdicts and the DAG's retry path (same
+        // task id, exactly-once accounting preserved). Step 3 replays the segment: from a
+        // pre-iteration checkpoint per-iteration, from the input whole-run, where a
+        // depth-unbounded schedule has no iteration boundary to checkpoint at. Every
+        // protected iteration pays its encode + verify whether or not a fault is
+        // sampled, and a fresh hook per attempt keeps the final tallies identical to a
+        // clean run's whenever recovery succeeds — rolled-back attempts leave no trace.
+        let checkpoint = (per_iteration && tracker.is_some()).then(|| graph.checkpoint());
+        let (hook, wall_s) = loop {
+            let hooks = plans.iter().map(|(scheme, faults)| {
+                let hook = FusedTileChecksums::with_faults(*scheme, b, faults.clone());
+                match &tracker {
+                    Some(t) => hook.with_recovery(Arc::clone(t)),
+                    None => hook,
+                }
+            });
+            let hook = PerIterationChecksums::starting_at(seg.start, hooks.collect());
+            let wall_s = graph.run(seg.clone(), &hook, DagExecution::Pool)?;
+            let Some(t) = &tracker else { break (hook, wall_s) };
             if t.is_suspect() {
+                // Persistent fault: recomputing or replaying would loop.
                 return Err(NumericError::UnrecoverableFault { history: t.history() });
             }
-            if t.has_unresolved() {
-                if !t.begin_replay(RecoveryAction::RunReplayed) {
-                    return Err(NumericError::UnrecoverableFault { history: t.history() });
-                }
-                continue;
+            if !t.has_unresolved() {
+                break (hook, wall_s);
             }
+            let action = if per_iteration {
+                RecoveryAction::IterationReplayed
+            } else {
+                RecoveryAction::RunReplayed
+            };
+            if !t.begin_replay(action) {
+                return Err(NumericError::UnrecoverableFault { history: t.history() });
+            }
+            match &checkpoint {
+                Some(snap) => graph.restore(snap),
+                None => graph = build()?,
+            }
+        };
+        verification.merge(&hook.outcome());
+        faults_injected += hook.faults_injected();
+        checksum_cpu_s += hook.checksum_seconds();
+
+        // --- attribute the measured durations, then commit the pending plan -----------
+        let timing = graph.timing();
+        for k in seg.clone() {
+            let m = &mut measured[k];
+            m.pd_s = timing.panel_s.get(k + 1).copied().unwrap_or(0.0);
+            m.update_s = if per_iteration { wall_s } else { timing.update_s[k] };
+            m.checksum_s = hook.hook(k).checksum_seconds();
         }
-        break (factors, timing, hook);
-    };
-
-    // --- final numerical verification against the original input ----------------------
-    // Once, on the attempt the ladder settled on: an abandoned whole-run attempt is
-    // replayed whatever its residual, so verifying it would only add to the replay cost.
-    let residual = factorization_residual(input, &factors);
-
-    // --- attribute the measured DAG-task durations to the two-stream timeline ----------
-    // The timeline keeps the stepped shape (PD0 prologue, then one PD/UPDATE pair per
-    // iteration) so makespans stay comparable across runtimes; each entry now carries
-    // the duration of the matching DAG tasks.
-    let cpu_base = driver.platform().cpu.base_freq;
-    let mut timeline = Timeline::new();
-    let pd0 = timing.panel_s.first().copied().unwrap_or(0.0);
-    timeline.push_task(DeviceKind::Cpu, "PD0", 0, pd0, cpu_base);
-    timeline.sync();
-
-    let mut measured = Vec::with_capacity(iterations);
-    for (k, (preds, analytic, cpu_freq, gpu_freq)) in plans.into_iter().enumerate() {
-        let pd_s = timing.panel_s.get(k + 1).copied().unwrap_or(0.0);
-        let update_s = timing.update_s.get(k).copied().unwrap_or(0.0);
-        let iter_checksum_s = hook.hook(k).checksum_seconds();
-        timeline.push_task(DeviceKind::Cpu, "PD", k, pd_s, cpu_freq);
-        timeline.push_task(DeviceKind::Gpu, "UPDATE", k, update_s, gpu_freq);
-        timeline.sync();
-        measured.push(MeasuredIteration {
-            k,
-            pd_s,
-            update_s,
-            checksum_s: iter_checksum_s,
-            predicted_pd_s: preds.map(|p| p.cpu_s),
-            predicted_update_s: preds.map(|p| p.gpu_s),
-            analytic_pd_s: analytic.pd_s,
-            analytic_update_s: analytic.pu_s + analytic.tmu_s + analytic.abft_s,
-        });
+        if let Some(step) = pending {
+            let m = &measured[seg.start];
+            let observed = ObservedDurations { pd_s: m.pd_s, update_s: m.update_s };
+            driver.finish_step(step, Some(&observed));
+        }
     }
 
-    // --- mixed precision: f64 refinement epilogue --------------------------------------
-    // A final CPU-stream task, so a mixed run's makespan is end-to-end: factor +
-    // protect + refine. Correctness is judged by its convergence, not the residual of
-    // the f32-accurate factors.
-    let mixed = input_f32.is_some().then(|| refine(&cfg, input, &factors));
+    // --- final numerical verification against the original input ----------------------
+    // Once, on the attempt the ladder settled on: an abandoned attempt is replayed
+    // whatever its residual, so verifying it would only add to the replay cost.
+    let pd0 = graph.timing().panel_s.first().copied().unwrap_or(0.0);
+    let factors = into_factors(graph);
+    let residual = factorization_residual(input, &factors);
+    // Mixed precision: correctness is judged by the refinement's convergence, not the
+    // residual of the f32-accurate factors.
+    let mixed = (cfg.precision == Precision::MixedF32).then(|| refine(&cfg, input, &factors));
+
+    // --- the two-stream timeline ------------------------------------------------------
+    // Panel 0 is the sequential prologue every hybrid run pays before its first
+    // overlapped iteration (charged to the CPU stream at the base clock); then one
+    // PD/UPDATE pair per iteration, and for a mixed run a final CPU-stream REFINE task,
+    // so its makespan is end-to-end: factor + protect + refine.
+    let cpu_base = driver.platform().cpu.base_freq;
+    let mut timeline = Timeline::new();
+    timeline.push_task(DeviceKind::Cpu, "PD0", 0, pd0, cpu_base);
+    timeline.sync();
+    for (m, &(cpu_freq, gpu_freq)) in measured.iter().zip(&clocks) {
+        timeline.push_task(DeviceKind::Cpu, "PD", m.k, m.pd_s, cpu_freq);
+        timeline.push_task(DeviceKind::Gpu, "UPDATE", m.k, m.update_s, gpu_freq);
+        timeline.sync();
+    }
     if let Some(m) = &mixed {
         timeline.push_task(DeviceKind::Cpu, "REFINE", iterations, m.solve_seconds, cpu_base);
         timeline.sync();
@@ -773,27 +626,14 @@ fn run_numeric_dag(cfg: RunConfig, input: &Matrix) -> Result<NumericRunReport, N
         report,
         factors,
         residual,
-        verification: hook.outcome(),
-        faults_injected: hook.faults_injected(),
+        verification,
+        faults_injected,
         timeline,
         measured,
-        checksum_cpu_s: hook.checksum_seconds(),
+        checksum_cpu_s,
         recovery: tracker.map(|t| t.history()).unwrap_or_default(),
         mixed,
     })
-}
-
-/// [`cholesky::cholesky_dag_with`] on the pool over a copy of `a`, at either element
-/// type.
-fn cholesky_dag<E: Element>(
-    a: &Matrix<E>,
-    b: usize,
-    hook: &PerIterationChecksums,
-) -> Result<(Matrix<E>, DagTiming), NumericError> {
-    let mut m = a.clone();
-    let timing = cholesky::cholesky_dag_with(&mut m, b, hook, DagExecution::Pool)
-        .map_err(NumericError::Cholesky)?;
-    Ok((m, timing))
 }
 
 /// Maximum correction sweeps of the mixed path's f64 iterative refinement. Clean
@@ -986,6 +826,7 @@ pub fn plan_faults_with_mix<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::config::AbftMode;
+    use bsr_abft::checksum::ChecksumScheme;
     use bsr_sched::strategy::{BsrConfig, Strategy};
 
     fn small_cfg(dec: Decomposition, strategy: Strategy) -> RunConfig {

@@ -190,7 +190,8 @@ pub struct JobOutcome {
     /// The config the job *actually ran* (after fleet-planner budget rewriting) —
     /// replaying this config solo reproduces the job's factors bit for bit.
     pub effective_cfg: RunConfig,
-    /// Job-keyed DAG runtime stats, when the run used the DAG engine.
+    /// Job-keyed DAG runtime stats, when the job ran its task graph whole (`None`
+    /// under the per-iteration policy).
     pub dag_stats: Option<DagRunStats>,
     /// The full run report, when [`ServiceConfig::keep_reports`] was set and the
     /// run returned one.

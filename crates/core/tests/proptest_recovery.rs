@@ -94,7 +94,7 @@ fn chaos_cfg_for(
 /// optimized guardband, without which SDC rates are identically zero) and pulls
 /// the fault-free threshold below the base clock with rates raised so the
 /// micro-second iterations of these tiny problems still see events. `feedback`
-/// selects the runtime: `true` = barrier-stepped with per-iteration replay
+/// selects the policy: `true` = one graph per iteration with per-iteration replay
 /// checkpoints, `false` = whole-run DAG with run-level replay; only the latter
 /// has a host-noise-independent fault schedule.
 fn chaos_cfg(dec: Decomposition, n: usize, b: usize, seed: u64, feedback: bool) -> RunConfig {

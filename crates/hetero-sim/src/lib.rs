@@ -23,8 +23,8 @@
 //! * [`thermal::ThermalModel`] — maximum sustained core temperature vs. frequency
 //!   (paper Figure 5d/5e).
 //! * [`transfer::PcieModel`] — host↔device transfer times.
-//! * [`energy::EnergyMeter`] and [`timeline::Timeline`] — accounting of simulated task
-//!   execution and the energy it consumes.
+//! * [`timeline::Timeline`] — per-device clocks of simulated task execution and the
+//!   slack between them.
 //! * [`platform::Platform`] — the full two-device platform, with a default
 //!   calibration that mirrors the paper's Table 3 test system.
 //!
@@ -36,7 +36,6 @@
 
 pub mod arrival;
 pub mod device;
-pub mod energy;
 pub mod freq;
 pub mod guardband;
 pub mod platform;
@@ -50,7 +49,6 @@ pub mod transfer;
 
 pub use arrival::PoissonArrivals;
 pub use device::{Device, DeviceKind};
-pub use energy::{EnergyMeter, EnergyRecord};
 pub use freq::{FrequencyRange, MHz};
 pub use guardband::{Guardband, GuardbandConfig};
 pub use platform::{Platform, PlatformConfig};

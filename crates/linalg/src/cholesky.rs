@@ -11,16 +11,13 @@ use crate::blas3::{
     gemm_acc_cols, gemm_acc_cols_prepacked, repack_a_op, syrk_lower_into_block, trsm_into_block,
     trsm_right_lower_trans_cols, Diag, PackedA, Side, Trans, UpLo,
 };
-use crate::dag::{group_bounds, DagBuilder, DagExecution, DagTiming, TaskOutcome};
+use crate::dag::{Checkpoint, DagExecution, DagTiming, FactorGraph, TileGraph, TileTasks};
 use crate::elem::Element;
 use crate::matrix::{Block, Matrix};
 use crate::task::{
-    restore_rows, snapshot_rows, split_tiles, split_tiles_at, StepTiming, TileCols, TileVerdict,
-    TrailingHook,
+    panel_attempt, restore_rows, snapshot_rows, StepTiming, TileCols, TileVerdict, TrailingHook,
 };
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::ops::Range;
 
 /// Error returned when a matrix is not positive definite (or not square).
 #[derive(Debug, Clone, PartialEq)]
@@ -133,7 +130,7 @@ pub fn num_iterations(n: usize, b: usize) -> usize {
 /// Result of a full Cholesky factorization, wrapping the in-place storage the
 /// drivers produce (lower triangle = `L`, strictly upper triangle = stale input).
 ///
-/// The blocked/tiled/DAG drivers factor a [`Matrix`] in place; this wrapper gives
+/// The blocked/stepped/DAG drivers factor a [`Matrix`] in place; this wrapper gives
 /// service clients the same owned-factors surface [`crate::lu::LuFactors`] has —
 /// including [`CholeskyFactors::solve`] — without copying the storage.
 #[derive(Debug, Clone)]
@@ -143,7 +140,7 @@ pub struct CholeskyFactors {
 
 impl CholeskyFactors {
     /// Wrap factored in-place storage (as produced by [`cholesky_blocked`],
-    /// [`cholesky_dag`] or the tiled stepper). Panics if the matrix is not square.
+    /// [`cholesky_dag`] or the stepper). Panics if the matrix is not square.
     pub fn from_storage(storage: Matrix) -> Self {
         assert!(storage.is_square(), "Cholesky factors must be square");
         CholeskyFactors { storage }
@@ -174,7 +171,7 @@ impl CholeskyFactors {
 }
 
 // =======================================================================================
-// Tiled task-parallel driver with one-step panel lookahead.
+// The tile task graph (see `crate::dag`): one iteration at a time, or all at once.
 // =======================================================================================
 
 /// Factor the diagonal panel held in `tile`: `potf2` of the diagonal block at
@@ -261,234 +258,148 @@ fn chol_update_tile<E: Element>(
     TileVerdict::Accept
 }
 
-/// One lookahead-panel attempt: snapshot (when the hook may demand a rollback),
-/// factor the panel in place (`potf2` + TRSM), then offer the fresh panel to the
-/// hook. On [`TileVerdict::Recompute`] the panel rows are restored and `None` is
-/// returned — the caller refactors from the identical pre-attempt state.
-fn chol_panel_attempt<E: Element>(
-    tile: &mut TileCols<'_, E>,
-    iter: usize,
-    row0: usize,
-    hook: &dyn TrailingHook<E>,
-) -> Option<Result<(), CholeskyError>> {
-    let snap = hook.wants_snapshots().then(|| snapshot_rows(&tile.cols, row0, tile.width()));
-    let col0 = tile.col0;
-    match factor_panel_tile(tile, row0) {
-        Ok(()) => {
-            let verdict = {
-                let mut panel_rows = tile.rows_from(row0);
-                hook.after_panel_factor(iter, col0, row0, &mut panel_rows)
-            };
-            if verdict == TileVerdict::Recompute {
-                if let Some(snap) = &snap {
-                    restore_rows(&mut tile.cols, row0, snap);
-                    return None;
-                }
-            }
-            Some(Ok(()))
-        }
-        Err(e) => Some(Err(e)),
+/// Cholesky's tile tasks: the lookahead panel (`potf2` + TRSM) and the SYRK slice of
+/// the trailing update.
+struct CholTasks;
+
+/// What `Panel(p)` publishes: the `A21` copy and its packed form, shared read-only by
+/// all of iteration `p`'s update tasks.
+struct CholPanel<E: Element> {
+    a21: Matrix<E>,
+    a21p: PackedA<E>,
+}
+
+impl<E: Element> TileTasks<E> for CholTasks {
+    type Factored = ();
+    type Panel = CholPanel<E>;
+    type Error = CholeskyError;
+
+    fn panel(
+        &self,
+        tile: &mut TileCols<'_, E>,
+        iter: usize,
+        hook: &dyn TrailingHook<E>,
+    ) -> Option<Result<(), CholeskyError>> {
+        let row0 = tile.col0;
+        panel_attempt(tile, iter, hook, |tile| factor_panel_tile(tile, row0))
+    }
+
+    fn publish(&self, tile: &TileCols<'_, E>, (): ()) -> CholPanel<E> {
+        let (row0, nb, n) = (tile.col0, tile.width(), tile.rows());
+        let a21 = tile.extract(row0 + nb, n);
+        let mut a21p = PackedA::default();
+        repack_a_op(&mut a21p, &a21, Trans::No, 0, 0, n - row0 - nb, nb);
+        CholPanel { a21, a21p }
+    }
+
+    fn update(
+        &self,
+        tile: &mut TileCols<'_, E>,
+        p: usize,
+        j0: usize,
+        nb: usize,
+        panel: &CholPanel<E>,
+        hook: &dyn TrailingHook<E>,
+    ) -> TileVerdict {
+        chol_update_tile(tile, p, j0, nb, &panel.a21, &panel.a21p, hook)
     }
 }
 
-/// Tiled task-parallel Cholesky with one-step panel lookahead.
-///
-/// Produces a **bit-identical** factor to [`cholesky_blocked`] with the same block
-/// size, at any thread count: the SYRK trailing update is decomposed into
-/// per-tile-column GEMM tasks (per-element summation order does not depend on the
-/// partition), and panel `k + 1` (`potf2` + TRSM) factorizes — inside the task that
-/// updates its tile first — concurrently with the rest of trailing update `k`.
-pub fn cholesky_tiled(a: &mut Matrix, block: usize) -> Result<(), CholeskyError> {
-    cholesky_tiled_with(a, block, &())
-}
+/// Cholesky's tile task graph (see [`crate::dag`]), one iteration at a time: the
+/// stepped driver, and the state [`cholesky_dag_with`] runs whole. Stepping through
+/// every iteration in order produces a factor **bit-identical** to
+/// [`cholesky_blocked`] and [`cholesky_dag_with`] with the same block size, at any
+/// thread count; each step reports its measured [`StepTiming`]. Generic over the
+/// [`Element`] type like the DAG driver.
+pub struct CholeskyTiledStepper<E: Element = f64>(TileGraph<E, CholTasks>);
 
-/// [`cholesky_tiled`] with a [`TrailingHook`] fused into every trailing tile task.
-/// The hook sees rows `[cb0, n)` of each tile column group — the staircase the
-/// factorization actually writes (the strictly-upper tiles are never touched).
-pub fn cholesky_tiled_with(
-    a: &mut Matrix,
-    block: usize,
-    hook: &dyn TrailingHook,
-) -> Result<(), CholeskyError> {
-    if !a.is_square() {
-        return Err(CholeskyError::NotSquare);
-    }
-    assert!(block > 0, "block size must be positive");
-    let n = a.rows();
-    if n == 0 {
-        return Ok(());
-    }
-    chol_prologue(a, block)?;
-    let mut a21p = PackedA::default();
-    for k in 0..num_iterations(n, block) {
-        chol_step(a, block, &mut a21p, k, hook)?;
-    }
-    Ok(())
-}
-
-/// Panel-0 prologue: factor the first panel synchronously (every panel `k + 1` is
-/// factored by iteration `k`'s lookahead task).
-fn chol_prologue(a: &mut Matrix, block: usize) -> Result<(), CholeskyError> {
-    let (_, mut tiles) = split_tiles(a, 0, 0, block);
-    factor_panel_tile(&mut tiles[0], 0)
-}
-
-/// One tiled Cholesky iteration: the per-tile-column SYRK task graph of trailing
-/// update `k` with the lookahead factorization of panel `k + 1` riding its tile's task.
-fn chol_step(
-    a: &mut Matrix,
-    block: usize,
-    a21p: &mut PackedA,
-    k: usize,
-    hook: &dyn TrailingHook,
-) -> Result<StepTiming, CholeskyError> {
-    let n = a.rows();
-    let j0 = k * block;
-    let nb = block.min(n - j0);
-    if j0 + nb >= n {
-        return Ok(StepTiming::default());
-    }
-    let region_t0 = Instant::now();
-    let a21 = a.copy_block(Block::new(j0 + nb, j0, n - j0 - nb, nb));
-    repack_a_op(a21p, &a21, Trans::No, 0, 0, n - j0 - nb, nb);
-    let (_, tiles) = split_tiles(a, 0, j0 + nb, block);
-    let panel_result: Mutex<Option<(Result<(), CholeskyError>, f64)>> = Mutex::new(None);
-    rayon::scope(|s| {
-        let mut tiles = tiles.into_iter();
-        let look = tiles.next().expect("trailing tiles exist");
-        {
-            let (a21, a21p, panel_result) = (&a21, &*a21p, &panel_result);
-            s.spawn(move || {
-                let mut tile = look;
-                while chol_update_tile(&mut tile, k, j0, nb, a21, a21p, hook)
-                    == TileVerdict::Recompute
-                {}
-                let row0 = tile.col0;
-                let panel_t0 = Instant::now();
-                let result = loop {
-                    if let Some(r) = chol_panel_attempt(&mut tile, k, row0, hook) {
-                        break r;
-                    }
-                };
-                let panel_s = panel_t0.elapsed().as_secs_f64();
-                *panel_result.lock().unwrap() = Some((result, panel_s));
-            });
-        }
-        for tile in tiles {
-            let (a21, a21p) = (&a21, &*a21p);
-            s.spawn(move || {
-                let mut tile = tile;
-                while chol_update_tile(&mut tile, k, j0, nb, a21, a21p, hook)
-                    == TileVerdict::Recompute
-                {}
-            });
-        }
-    });
-    let update_s = region_t0.elapsed().as_secs_f64();
-    match panel_result.into_inner().unwrap() {
-        Some((Ok(()), panel_s)) => Ok(StepTiming { panel_s, update_s }),
-        Some((Err(e), _)) => Err(e),
-        None => unreachable!("lookahead task always records a panel result"),
-    }
-}
-
-/// Iteration-at-a-time driver of the tiled task-parallel Cholesky: the per-iteration
-/// twin of [`cholesky_tiled_with`] for callers (the numeric-mode engine in `bsr-core`)
-/// that interleave every blocked iteration with planning, fault injection and
-/// measured-time accounting. Stepping through all iterations in order produces
-/// **bit-identical** factors to [`cholesky_tiled`] / [`cholesky_blocked`], and each
-/// step reports its measured [`StepTiming`].
-pub struct CholeskyTiledStepper {
-    a: Matrix,
-    block: usize,
-    a21p: PackedA,
-    prologue_s: f64,
-}
-
-impl CholeskyTiledStepper {
-    /// Take ownership of the matrix and factor panel 0 synchronously. On error the
-    /// matrix is dropped (numeric-mode callers keep their own pristine input).
-    pub fn new(a: Matrix, block: usize) -> Result<Self, CholeskyError> {
+impl<E: Element> CholeskyTiledStepper<E> {
+    /// Take ownership of the matrix and factor panel 0, the prologue every run pays
+    /// before its first trailing update. On error the matrix is dropped (numeric-mode
+    /// callers keep their own pristine input).
+    pub fn new(a: Matrix<E>, block: usize) -> Result<Self, CholeskyError> {
         if !a.is_square() {
             return Err(CholeskyError::NotSquare);
         }
-        assert!(block > 0, "block size must be positive");
-        let mut a = a;
-        let t0 = Instant::now();
-        if a.rows() > 0 {
-            chol_prologue(&mut a, block)?;
-        }
-        let prologue_s = t0.elapsed().as_secs_f64();
-        Ok(Self { a, block, a21p: PackedA::default(), prologue_s })
+        let mut graph = chol_graph(a, block);
+        graph.prologue()?;
+        Ok(Self(graph))
     }
 
     /// Number of blocked iterations; [`Self::step`] must be called exactly once for
     /// each `k` in `0..iterations()`, in order.
     pub fn iterations(&self) -> usize {
-        let n = self.a.rows();
-        if n == 0 { 0 } else { num_iterations(n, self.block) }
+        self.0.iterations()
     }
 
     /// Measured duration of the panel-0 prologue factored by [`Self::new`].
     pub fn prologue_panel_s(&self) -> f64 {
-        self.prologue_s
+        self.0.prologue_panel_s()
     }
 
-    /// Run iteration `k`'s task graph (trailing tile updates + lookahead panel
-    /// `k + 1`) with `hook` fused into every trailing tile task.
-    pub fn step(&mut self, k: usize, hook: &dyn TrailingHook) -> Result<StepTiming, CholeskyError> {
-        chol_step(&mut self.a, self.block, &mut self.a21p, k, hook)
-    }
-
-    /// The matrix in its current (partially factored) state.
-    pub fn matrix(&self) -> &Matrix {
-        &self.a
-    }
-
-    /// Snapshot the factorization state before an iteration, for [`Self::restore`].
-    /// Stepping from a restored checkpoint replays the identical bits: the packed
-    /// `A21` operand is rebuilt from the matrix every step.
-    pub fn checkpoint(&self) -> Matrix {
-        self.a.clone()
-    }
-
-    /// Roll the factorization state back to a [`Self::checkpoint`] taken earlier,
-    /// so the iteration that followed it can be replayed.
-    pub fn restore(&mut self, snap: &Matrix) {
-        self.a = snap.clone();
+    /// Run iteration `k`'s graph on the pool (its trailing tile updates and
+    /// lookahead panel `k + 1`) with `hook` fused into every trailing tile and panel
+    /// task.
+    pub fn step(
+        &mut self,
+        k: usize,
+        hook: &dyn TrailingHook<E>,
+    ) -> Result<StepTiming, CholeskyError> {
+        self.0.step(k, hook)
     }
 
     /// Recover the factored matrix after the final step (lower triangle holds `L`).
-    pub fn into_matrix(self) -> Matrix {
-        self.a
+    pub fn into_matrix(self) -> Matrix<E> {
+        self.0.into_parts().0
     }
 }
 
-// =======================================================================================
-// Dependency-driven DAG driver (depth-unbounded lookahead; see `crate::dag`).
-// =======================================================================================
+impl<E: Element> FactorGraph<E> for CholeskyTiledStepper<E> {
+    type Error = CholeskyError;
 
-/// Operands panel `k` publishes for its trailing-update consumers: the `A21` copy and
-/// its packed form, shared read-only by every `Update(k, ·)` task. Bit-identical to
-/// the barrier stepper's per-iteration copies.
-struct CholPanelOps<E: Element> {
-    a21: Matrix<E>,
-    a21p: PackedA<E>,
+    fn run(
+        &mut self,
+        iters: Range<usize>,
+        hook: &dyn TrailingHook<E>,
+        exec: DagExecution,
+    ) -> Result<f64, CholeskyError> {
+        self.0.run(iters, hook, exec)
+    }
+
+    fn timing(&self) -> &DagTiming {
+        self.0.timing()
+    }
+
+    fn checkpoint(&self) -> Checkpoint<E> {
+        self.0.checkpoint()
+    }
+
+    fn restore(&mut self, snap: &Checkpoint<E>) {
+        self.0.restore(snap)
+    }
+}
+
+/// The task graph of `a`, before its prologue.
+fn chol_graph<E: Element>(a: Matrix<E>, block: usize) -> TileGraph<E, CholTasks> {
+    let (n, label) = (a.rows(), format!("cholesky n={} b={block}", a.rows()));
+    TileGraph::new(CholTasks, a, n, block, label)
 }
 
 /// Dependency-driven DAG Cholesky with depth-unbounded panel lookahead.
 ///
-/// Same math, same bits as [`cholesky_blocked`] / [`cholesky_tiled`] with the same
-/// block size, at any thread count and under any task schedule; the per-iteration
-/// barrier is replaced by per-tile dependency counters (see [`crate::dag`]), so a
-/// tile's iteration-`k + 1` SYRK slice starts the moment panel `k + 1` and its own
-/// iteration-`k` slice are done — regardless of other tiles' progress.
+/// Same math, same bits as [`cholesky_blocked`] with the same block size, at any
+/// thread count and under any task schedule; the per-iteration barrier is replaced by
+/// per-tile dependency counters (see [`crate::dag`]), so a tile's iteration-`k + 1`
+/// SYRK slice starts the moment panel `k + 1` and its own iteration-`k` slice are done
+/// — regardless of other tiles' progress.
 pub fn cholesky_dag(a: &mut Matrix, block: usize) -> Result<(), CholeskyError> {
     cholesky_dag_with(a, block, &(), DagExecution::Pool).map(|_| ())
 }
 
 /// [`cholesky_dag`] with a [`TrailingHook`] fused into every trailing tile task and an
-/// explicit [`DagExecution`] mode; returns the per-task measured [`DagTiming`].
+/// explicit [`DagExecution`] mode, in place on `a`: the prologue, then every iteration
+/// as one graph. Returns the per-task measured [`DagTiming`]; on error `a` holds the
+/// partial factorization.
 ///
 /// Generic over the [`Element`] type: the mixed-precision path is this driver at
 /// `E = f32` (same graph, same hook call sites, same retry protocol), and the
@@ -502,109 +413,11 @@ pub fn cholesky_dag_with<E: Element>(
     if !a.is_square() {
         return Err(CholeskyError::NotSquare);
     }
-    assert!(block > 0, "block size must be positive");
-    let n = a.rows();
-    if n == 0 {
-        return Ok(DagTiming::default());
-    }
-    let t0 = Instant::now();
-    let bounds = group_bounds(n, n, block);
-    let g = bounds.len();
-    let width_of = |p: usize| bounds.get(p + 1).copied().unwrap_or(n) - bounds[p];
-    // Group `grp`'s chain: Update(p, grp) for p < grp, then Panel(grp) — a
-    // triangular id layout, id(grp, p) = grp (grp + 1) / 2 + p. Each task depends on
-    // its chain predecessor plus, for updates, on Panel(p)'s publication.
-    let id_of = |grp: usize, p: usize| grp * (grp + 1) / 2 + p;
-    let mut builder = DagBuilder::new();
-    for _ in 0..g * (g + 1) / 2 {
-        builder.add_task();
-    }
-    for grp in 0..g {
-        for p in 0..=grp {
-            let id = id_of(grp, p);
-            if p > 0 {
-                builder.add_edge(id - 1, id);
-            }
-            if p != grp {
-                builder.add_edge(id_of(p, p), id);
-            }
-        }
-    }
-    // Invert the triangular id layout once (avoids per-task integer sqrt).
-    let mut task_of = Vec::with_capacity(builder.len());
-    for grp in 0..g {
-        for p in 0..=grp {
-            task_of.push((grp, p));
-        }
-    }
-    let ops: Vec<OnceLock<CholPanelOps<E>>> = (0..g).map(|_| OnceLock::new()).collect();
-    let failed = AtomicBool::new(false);
-    let error: Mutex<Option<CholeskyError>> = Mutex::new(None);
-    let panel_nanos: Vec<AtomicU64> = (0..g).map(|_| AtomicU64::new(0)).collect();
-    let update_nanos: Vec<AtomicU64> = (0..g).map(|_| AtomicU64::new(0)).collect();
-    let tiles: Vec<Mutex<TileCols<'_, E>>> =
-        split_tiles_at(a, &bounds).into_iter().map(Mutex::new).collect();
-    crate::dag::execute(builder, exec, &format!("cholesky n={n} b={block}"), |id| {
-        let (grp, p) = task_of[id];
-        let mut tile = tiles[grp].lock().unwrap();
-        // Drain without numeric work after a failed panel; panels are totally
-        // ordered through the chains, so the first error is deterministic.
-        if failed.load(Ordering::Acquire) {
-            return TaskOutcome::Done;
-        }
-        let j0 = bounds[p];
-        let task_t0 = Instant::now();
-        if p == grp {
-            // Panel(grp) is iteration grp − 1's lookahead panel; the prologue
-            // panel (grp = 0) predates every iteration and is never offered to
-            // the hook — matching the stepped drivers.
-            let attempt = if grp > 0 {
-                chol_panel_attempt(&mut tile, grp - 1, j0, hook)
-            } else {
-                Some(factor_panel_tile(&mut tile, j0))
-            };
-            let outcome = match attempt {
-                Some(Ok(())) => {
-                    if grp + 1 < g {
-                        let nb = tile.width();
-                        let a21 = tile.extract(j0 + nb, n);
-                        let mut a21p = PackedA::default();
-                        repack_a_op(&mut a21p, &a21, Trans::No, 0, 0, n - j0 - nb, nb);
-                        assert!(ops[grp].set(CholPanelOps { a21, a21p }).is_ok());
-                    }
-                    TaskOutcome::Done
-                }
-                Some(Err(e)) => {
-                    *error.lock().unwrap() = Some(e);
-                    failed.store(true, Ordering::Release);
-                    TaskOutcome::Done
-                }
-                // Rolled back by the hook: resubmit the repair attempt without
-                // publishing operands.
-                None => TaskOutcome::Retry,
-            };
-            panel_nanos[grp].fetch_add(task_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            outcome
-        } else {
-            let op = ops[p].get().expect("Panel(p) publishes before its consumers");
-            let outcome = match chol_update_tile(&mut tile, p, j0, width_of(p), &op.a21, &op.a21p, hook)
-            {
-                TileVerdict::Recompute => TaskOutcome::Retry,
-                TileVerdict::Accept => TaskOutcome::Done,
-            };
-            update_nanos[p].fetch_add(task_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            outcome
-        }
-    });
-    drop(tiles);
-    if let Some(e) = error.into_inner().unwrap() {
-        return Err(e);
-    }
-    Ok(DagTiming {
-        panel_s: panel_nanos.iter().map(|x| x.load(Ordering::Relaxed) as f64 * 1e-9).collect(),
-        update_s: update_nanos.iter().map(|x| x.load(Ordering::Relaxed) as f64 * 1e-9).collect(),
-        wall_s: t0.elapsed().as_secs_f64(),
-    })
+    let mut graph = chol_graph(std::mem::replace(a, Matrix::zeros(0, 0)), block);
+    let result = graph.prologue().and_then(|()| graph.run(0..graph.iterations(), hook, exec));
+    let (factored, _, timing) = graph.into_parts();
+    *a = factored;
+    result.map(|_| timing)
 }
 
 #[cfg(test)]
@@ -685,13 +498,7 @@ mod tests {
             a0.set(20, 20, bad);
             let want = Err(CholeskyError::NotPositiveDefinite(20));
             assert_eq!(cholesky_blocked(&mut a0.clone(), 8), want, "blocked, {bad}");
-            let stepped = CholeskyTiledStepper::new(a0.clone(), 8).and_then(|mut s| {
-                for k in 0..s.iterations() {
-                    s.step(k, &())?;
-                }
-                Ok(())
-            });
-            assert_eq!(stepped, want, "stepper, {bad}");
+            assert_eq!(cholesky_stepped(&mut a0.clone(), 8), want, "stepper, {bad}");
             assert_eq!(cholesky_dag(&mut a0.clone(), 8), want, "dag f64, {bad}");
             let f32_run = cholesky_dag_with(&mut a0.demote(), 8, &(), DagExecution::Pool);
             assert_eq!(f32_run.map(|_| ()), want, "dag f32, {bad}");
@@ -705,28 +512,38 @@ mod tests {
         assert_eq!(num_iterations(1, 32), 1);
     }
 
+    /// The stepped driver on `a`, in place: the prologue, then one graph per iteration.
+    fn cholesky_stepped(a: &mut Matrix, block: usize) -> Result<(), CholeskyError> {
+        let mut stepper = CholeskyTiledStepper::new(a.clone(), block)?;
+        for k in 0..stepper.iterations() {
+            stepper.step(k, &())?;
+        }
+        *a = stepper.into_matrix();
+        Ok(())
+    }
+
     #[test]
-    fn tiled_is_bit_identical_to_blocked() {
+    fn stepped_is_bit_identical_to_blocked() {
         let mut rng = ChaCha8Rng::seed_from_u64(12);
         for (n, b) in [(1, 1), (5, 2), (16, 8), (33, 8), (64, 16), (40, 64)] {
             let a0 = random_spd_matrix(&mut rng, n);
             let mut sync = a0.clone();
             cholesky_blocked(&mut sync, b).unwrap();
-            let mut tiled = a0.clone();
-            cholesky_tiled(&mut tiled, b).unwrap();
-            assert_eq!(sync, tiled, "factors differ n={n} b={b}");
+            let mut stepped = a0.clone();
+            cholesky_stepped(&mut stepped, b).unwrap();
+            assert_eq!(sync, stepped, "factors differ n={n} b={b}");
         }
     }
 
     #[test]
-    fn tiled_rejects_indefinite_and_non_square() {
+    fn stepped_rejects_indefinite_and_non_square() {
         let mut a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]);
         assert!(matches!(
-            cholesky_tiled(&mut a, 1),
+            cholesky_stepped(&mut a, 1),
             Err(CholeskyError::NotPositiveDefinite(_))
         ));
         let mut a = Matrix::zeros(3, 4);
-        assert_eq!(cholesky_tiled(&mut a, 2), Err(CholeskyError::NotSquare));
+        assert_eq!(cholesky_stepped(&mut a, 2), Err(CholeskyError::NotSquare));
     }
 
     #[test]

@@ -1,14 +1,11 @@
 //! Dependency-driven DAG runtime for the tiled factorizations.
 //!
-//! The barrier steppers ([`crate::lu::LuTiledStepper`] and friends) end every
-//! iteration in a `rayon::scope` barrier: one slow trailing tile stalls the whole
-//! pipeline and lookahead is capped at one panel. This module replaces the barrier
-//! with PLASMA/StarPU-style **per-tile dependency counters** on the same
-//! work-stealing pool: each task carries an atomic counter of unmet dependencies,
-//! and the task that decrements a counter to zero submits the successor right there
-//! (`rayon::TaskScope::submit`), so iteration `k + 2`'s GEMMs start while iteration
-//! `k`'s slow tiles are still in flight — lookahead bounded only by the dependency
-//! structure (depth-unbounded).
+//! Every factorization runs as one task graph ([`FactorGraph`]) on the work-stealing
+//! pool, with PLASMA/StarPU-style **per-tile dependency counters**: each task carries
+//! an atomic counter of unmet dependencies, and the task that decrements a counter to
+//! zero submits the successor right there (`rayon::TaskScope::submit`), so iteration
+//! `k + 2`'s GEMMs start while iteration `k`'s slow tiles are still in flight —
+//! lookahead bounded only by the dependency structure (depth-unbounded).
 //!
 //! # Graph shape
 //!
@@ -19,7 +16,18 @@
 //! — so a group's columns are only ever touched by one task at a time, and each task
 //! has at most **two** dependencies: its chain predecessor (its own tile after
 //! iteration `k − 1`) and the publication of panel `k`'s operands. The borrow
-//! checker proves group disjointness exactly as in the barrier drivers.
+//! checker proves group disjointness: each task owns its group's column slices.
+//!
+//! # Execution policies
+//!
+//! An `Update(k, g)` or `LeftSwap(k, g)` task belongs to iteration `k`; `Panel(g)` is
+//! the lookahead panel of iteration `g − 1`, and `Panel(0)` is the prologue the
+//! graph's constructor runs. A graph runs any range of iterations at a time
+//! ([`FactorGraph::run`]). All of them at once is the depth-unbounded schedule of
+//! `lu_dag_with` and friends. One at a time (`LuTiledStepper::step` and friends) makes
+//! each iteration's measured durations known before the next one starts, which is
+//! what the numeric engine's measured-feedback policy needs. Both policies run the
+//! same tasks on the same groups, so their results are bit-identical.
 //!
 //! # Determinism argument
 //!
@@ -43,12 +51,17 @@
 //! Every run registers itself in a process-global table so a test watchdog can dump
 //! ready-queue/counter snapshots ([`snapshot_active`]) instead of hanging CI.
 
+use crate::elem::Element;
+use crate::matrix::Matrix;
+use crate::task::{split_tiles_at, StepTiming, TileCols, TileVerdict, TrailingHook};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::cell::Cell;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::time::Instant;
 
 /// How a DAG run executes its task graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +69,8 @@ pub enum DagExecution {
     /// Run on the persistent work-stealing pool (thread budget from
     /// `RAYON_NUM_THREADS` / host parallelism, re-read at entry). Under a
     /// single-thread budget tasks run on the caller in deterministic
-    /// lowest-task-id-first order — the sequential baseline pays no pool traffic.
+    /// lowest-task-id-first order — the sequential baseline pays no pool traffic —
+    /// and so does a one-task graph (the prologue), which has nothing to overlap.
     Pool,
     /// Single-threaded deterministic **replay**: among the ready tasks, a ChaCha8
     /// RNG seeded with `seed` picks which completes next. Same seed ⇒ same
@@ -68,9 +82,11 @@ pub enum DagExecution {
     },
 }
 
-/// Statistics of the most recent DAG run completed on the current thread, for tests
-/// asserting the exactly-once execution invariant from outside the runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Statistics of a factorization run as one task graph, for tests asserting the
+/// exactly-once execution invariant from outside the runtime. A whole run counts
+/// its prologue too: the graph's constructor runs `Panel(0)` as a graph of its own,
+/// and the run of every iteration adds the rest.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DagRunStats {
     /// Total tasks in the graph.
     pub tasks: usize,
@@ -104,11 +120,14 @@ pub(crate) enum TaskOutcome {
 thread_local! {
     static LAST_RUN: Cell<Option<DagRunStats>> = const { Cell::new(None) };
     /// The service job the current thread is executing on behalf of, if any.
-    /// Set via [`JobScope`]; read by [`execute`] to key stats and snapshot labels.
+    /// Set via [`JobScope`]; read by [`execute`] and [`record`] to key snapshot labels
+    /// and stats.
     static CURRENT_JOB: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
-/// Statistics of the last DAG run driven from this thread, if any.
+/// Statistics of the last factorization run whole (every iteration as one graph)
+/// from this thread, if any. Runs of part of the iterations — stepping — record
+/// none.
 pub fn last_run_stats() -> Option<DagRunStats> {
     LAST_RUN.with(|c| c.get())
 }
@@ -119,8 +138,10 @@ pub fn last_run_stats() -> Option<DagRunStats> {
 /// would if two jobs shared a driver thread.
 static JOB_STATS: Mutex<Option<std::collections::HashMap<u64, DagRunStats>>> = Mutex::new(None);
 
-/// Statistics of the most recent DAG run executed under [`JobScope::enter`]`(job)`,
-/// from any thread. Returns `None` if no DAG run has completed for that job.
+/// Statistics of the most recent whole factorization run under
+/// [`JobScope::enter`]`(job)`, from any thread. Returns `None` if none has completed
+/// for that job: a job stepped one iteration at a time (the numeric engine's
+/// per-iteration policy) runs one graph per iteration and records none.
 pub fn last_run_stats_for(job: u64) -> Option<DagRunStats> {
     JOB_STATS.lock().unwrap().as_ref().and_then(|m| m.get(&job).copied())
 }
@@ -166,20 +187,19 @@ pub fn current_job() -> Option<u64> {
     CURRENT_JOB.with(|c| c.get())
 }
 
-/// Measured durations of one DAG factorization run, attributed to tasks (not
+/// Measured durations of a factorization's task graph, attributed to tasks (not
 /// barrier phases): the accounting contract the `bsr-core` numeric engine consumes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DagTiming {
-    /// `panel_s[k]`: wall duration of the `Panel(k)` task, measured on whichever
-    /// thread ran it. `panel_s[0]` is the prologue-equivalent (panel 0 has no
-    /// dependencies and is the graph's root task).
+    /// `panel_s[k]`: wall duration of panel `k`'s factorization in the `Panel(k)`
+    /// task, measured on whichever thread ran it. `panel_s[0]` is the prologue.
     pub panel_s: Vec<f64>,
     /// `update_s[k]`: CPU seconds of iteration `k`'s trailing tasks (updates and,
-    /// for LU, deferred left swaps), summed across threads. Under the DAG there is
-    /// no per-iteration wall time — iterations overlap — so the engine charges the
-    /// summed task durations instead of a barrier-to-barrier wall interval.
+    /// for LU, deferred left swaps) plus the packing of panel `k`'s operands for
+    /// them, summed across threads. When iterations run as one graph they overlap,
+    /// so no wall interval contains one iteration's tasks.
     pub update_s: Vec<f64>,
-    /// Wall-clock duration of the whole DAG region (graph build to drain).
+    /// Wall-clock seconds of every graph run so far, the prologue's included.
     pub wall_s: f64,
 }
 
@@ -353,10 +373,11 @@ pub fn with_watchdog<T: Send + 'static>(
 }
 
 /// Run every task of `builder`'s graph exactly once, respecting dependencies, under
-/// the chosen [`DagExecution`]. `run(id)` performs task `id`'s work; it must be safe
-/// to call concurrently for distinct ids (the graph encodes all ordering). A task
-/// returning [`TaskOutcome::Retry`] is resubmitted (repair re-run) without touching
-/// its successors; only a [`TaskOutcome::Done`] completes it.
+/// the chosen [`DagExecution`], and return the run's statistics ([`record`] publishes
+/// them). `run(id)` performs task `id`'s work; it must be safe to call concurrently
+/// for distinct ids (the graph encodes all ordering). A task returning
+/// [`TaskOutcome::Retry`] is resubmitted (repair re-run) without touching its
+/// successors; only a [`TaskOutcome::Done`] completes it.
 ///
 /// Counter protocol: a completing task decrements each successor's counter with
 /// `AcqRel`; the decrement that observes 1 → 0 owns the submission, so every task is
@@ -365,7 +386,7 @@ pub fn with_watchdog<T: Send + 'static>(
 /// leaked task (graph drained with `executed < tasks`) panics after the drain with
 /// a state snapshot. Both invariants are re-asserted externally by the
 /// schedule-fuzzing suite.
-pub(crate) fn execute<F>(builder: DagBuilder, exec: DagExecution, label: &str, run: F)
+pub(crate) fn execute<F>(builder: DagBuilder, exec: DagExecution, label: &str, run: F) -> DagRunStats
 where
     F: Fn(usize) -> TaskOutcome + Sync,
 {
@@ -394,7 +415,7 @@ where
     match exec {
         // Job-scoped runs submit into the job's fair lane so concurrent jobs share
         // the pool in bounded slices instead of FIFO floods.
-        DagExecution::Pool if rayon::current_num_threads() > 1 => match job {
+        DagExecution::Pool if total > 1 && rayon::current_num_threads() > 1 => match job {
             Some(j) => rayon::task_scope_tagged(j, |ts| {
                 for (id, &d) in builder.deps.iter().enumerate() {
                     if d == 0 {
@@ -419,13 +440,14 @@ where
         "DAG run '{label}' leaked tasks: executed {executed} of {total}\n{}",
         snapshot_of(&state)
     );
-    let stats = DagRunStats {
-        tasks: total,
-        executed,
-        retries: state.retries.load(Ordering::Relaxed),
-    };
+    DagRunStats { tasks: total, executed, retries: state.retries.load(Ordering::Relaxed) }
+}
+
+/// Publish `stats` as this thread's last run ([`last_run_stats`]) and, under a
+/// [`JobScope`], as its job's ([`last_run_stats_for`]).
+pub(crate) fn record(stats: DagRunStats) {
     LAST_RUN.with(|c| c.set(Some(stats)));
-    if let Some(j) = job {
+    if let Some(j) = current_job() {
         JOB_STATS
             .lock()
             .unwrap()
@@ -534,6 +556,314 @@ pub(crate) fn group_bounds(n: usize, kmax: usize, block: usize) -> Vec<usize> {
     bounds
 }
 
+/// The decomposition-specific half of a factorization's task graph: what `Panel(p)`
+/// does in its own group and what iteration `p` does to every other group.
+/// [`TileGraph`] owns the rest: the partition, the dependencies, the write-once
+/// publication of each panel, the timings and the rollback.
+pub(crate) trait TileTasks<E: Element>: Sync {
+    /// What a factored panel hands to its publication (pivots, `tau`s, reflectors).
+    type Factored;
+    /// What `Panel(p)` publishes, once, for iteration `p`'s tasks and the factors.
+    type Panel: Send + Sync;
+    /// Why a panel factorization failed.
+    type Error: Send;
+    /// Whether a group's chain continues past its own panel: LU applies panel `p`'s
+    /// row swaps to the already-final groups left of it (`LeftSwap(p, g)`, `g < p`).
+    const LEFT_SWAPS: bool = false;
+
+    /// Factor the panel held in `tile` (diagonal row `tile.col0`) as the lookahead
+    /// panel of iteration `iter`, offering it to `hook`. `None` means the hook rolled
+    /// the attempt back and it runs again.
+    fn panel(
+        &self,
+        tile: &mut TileCols<'_, E>,
+        iter: usize,
+        hook: &dyn TrailingHook<E>,
+    ) -> Option<Result<Self::Factored, Self::Error>>;
+
+    /// The operands the factored panel in `tile` publishes: copied and packed once
+    /// for all of its iteration's update tasks.
+    fn publish(&self, tile: &TileCols<'_, E>, factored: Self::Factored) -> Self::Panel;
+
+    /// Iteration `p`'s task on `tile`, a group other than panel `p`'s, which spans
+    /// columns `[j0, j0 + nb)` and published `panel`. [`TileVerdict::Recompute`]
+    /// means the task rolled itself back and runs again.
+    fn update(
+        &self,
+        tile: &mut TileCols<'_, E>,
+        p: usize,
+        j0: usize,
+        nb: usize,
+        panel: &Self::Panel,
+        hook: &dyn TrailingHook<E>,
+    ) -> TileVerdict;
+}
+
+/// One factorization's task graph and its state between runs: the working matrix,
+/// each panel's write-once publication and the per-task timings. The stepper types
+/// (`LuTiledStepper` and friends) wrap one; every driver but `*_blocked` runs on it.
+pub(crate) struct TileGraph<E: Element, T: TileTasks<E>> {
+    tasks: T,
+    a: Matrix<E>,
+    /// Column-group boundaries of the fixed partition ([`group_bounds`]).
+    bounds: Vec<usize>,
+    /// `panels[p]`: what `Panel(p)` published, once it has run.
+    panels: Vec<OnceLock<T::Panel>>,
+    timing: DagTiming,
+    /// The prologue's run, counted into the statistics of a whole run.
+    prologue: DagRunStats,
+    label: String,
+}
+
+impl<E: Element, T: TileTasks<E>> TileGraph<E, T> {
+    /// The graph of `a` with one panel per `block` columns below `kmax`, before its
+    /// prologue. `label` names its runs in watchdog snapshots.
+    pub(crate) fn new(tasks: T, a: Matrix<E>, kmax: usize, block: usize, label: String) -> Self {
+        assert!(block > 0, "block size must be positive");
+        let panels = kmax.div_ceil(block);
+        Self {
+            tasks,
+            bounds: group_bounds(a.cols(), kmax, block),
+            a,
+            panels: (0..panels).map(|_| OnceLock::new()).collect(),
+            timing: DagTiming { panel_s: vec![0.0; panels], update_s: vec![0.0; panels], wall_s: 0.0 },
+            prologue: DagRunStats::default(),
+            label,
+        }
+    }
+
+    /// Run the prologue, `Panel(0)`: the one task before any iteration, never
+    /// offered to a hook.
+    pub(crate) fn prologue(&mut self) -> Result<(), T::Error> {
+        let (stats, result) = self.run_stages(0..1, &(), DagExecution::Pool);
+        self.prologue = stats;
+        result.map(drop)
+    }
+
+    /// Number of iterations, one per panel.
+    pub(crate) fn iterations(&self) -> usize {
+        self.panels.len()
+    }
+
+    /// Measured duration of the prologue panel.
+    pub(crate) fn prologue_panel_s(&self) -> f64 {
+        self.timing.panel_s.first().copied().unwrap_or(0.0)
+    }
+
+    /// Run iteration `k` alone on the pool: its lookahead panel's factorization time
+    /// and the wall time of the whole graph.
+    pub(crate) fn step(
+        &mut self,
+        k: usize,
+        hook: &dyn TrailingHook<E>,
+    ) -> Result<StepTiming, T::Error> {
+        let update_s = self.run(k..k + 1, hook, DagExecution::Pool)?;
+        let panel_s = self.timing.panel_s.get(k + 1).copied().unwrap_or(0.0);
+        Ok(StepTiming { panel_s, update_s })
+    }
+
+    /// [`FactorGraph::run`].
+    pub(crate) fn run(
+        &mut self,
+        iters: Range<usize>,
+        hook: &dyn TrailingHook<E>,
+        exec: DagExecution,
+    ) -> Result<f64, T::Error> {
+        let whole = iters == (0..self.iterations());
+        let (stats, result) = self.run_stages(iters.start + 1..iters.end + 1, hook, exec);
+        // A run of every iteration is the whole factorization: publish its statistics,
+        // the prologue's included. Stepping publishes none.
+        if whole {
+            let p = self.prologue;
+            record(DagRunStats {
+                tasks: p.tasks + stats.tasks,
+                executed: p.executed + stats.executed,
+                retries: p.retries + stats.retries,
+            });
+        }
+        result
+    }
+
+    /// Run every task whose stage lies in `stages` as one graph: stage 0 is the
+    /// prologue, stage `k + 1` iteration `k`, and earlier stages have already run.
+    /// Returns the run's statistics and wall seconds; no run, and zeros, when no
+    /// task qualifies.
+    fn run_stages(
+        &mut self,
+        stages: Range<usize>,
+        hook: &dyn TrailingHook<E>,
+        exec: DagExecution,
+    ) -> (DagRunStats, Result<f64, T::Error>) {
+        let np = self.panels.len();
+        // Task (g, p) is group g's p-th chain task: Panel(g) when p == g, otherwise
+        // iteration p's task on group g.
+        let stage = |g: usize, p: usize| if p == g { g } else { p + 1 };
+        let mut task_of = Vec::new();
+        for g in 0..self.bounds.len() {
+            let chain = if T::LEFT_SWAPS { np } else { np.min(g + 1) };
+            task_of.extend((0..chain).filter(|&p| stages.contains(&stage(g, p))).map(|p| (g, p)));
+        }
+        if task_of.is_empty() {
+            return (DagRunStats::default(), Ok(0.0));
+        }
+        let t0 = Instant::now();
+        // Stages never decrease along a chain, so consecutive ids of one group are
+        // chain neighbours. A task waits for Panel(p) only when Panel(p) runs in this
+        // graph too; otherwise an earlier run has published it.
+        let mut builder = DagBuilder::new();
+        let mut panel_id = vec![None; np];
+        for &(g, p) in &task_of {
+            let id = builder.add_task();
+            if p == g {
+                panel_id[p] = Some(id);
+            }
+        }
+        for (id, &(g, p)) in task_of.iter().enumerate() {
+            if id > 0 && task_of[id - 1].0 == g {
+                builder.add_edge(id - 1, id);
+            }
+            if let Some(panel) = panel_id[p].filter(|_| p != g) {
+                builder.add_edge(panel, id);
+            }
+        }
+        let n = self.a.cols();
+        let (bounds, tasks, panels) = (&self.bounds, &self.tasks, &self.panels);
+        let width_of = |p: usize| bounds.get(p + 1).copied().unwrap_or(n) - bounds[p];
+        let panel_nanos: Vec<AtomicU64> = (0..np).map(|_| AtomicU64::new(0)).collect();
+        let update_nanos: Vec<AtomicU64> = (0..np).map(|_| AtomicU64::new(0)).collect();
+        let failed = AtomicBool::new(false);
+        let error = Mutex::new(None);
+        let tiles: Vec<Mutex<TileCols<'_, E>>> =
+            split_tiles_at(&mut self.a, bounds).into_iter().map(Mutex::new).collect();
+        let stats = execute(builder, exec, &self.label, |id| {
+            let (g, p) = task_of[id];
+            let mut tile = tiles[g].lock().unwrap();
+            // After a panel failure the rest of the graph drains without numeric work
+            // (counters still decrement, so nothing leaks); panels are totally ordered
+            // through the chains, so exactly the first error is recorded.
+            if failed.load(Ordering::Acquire) {
+                return TaskOutcome::Done;
+            }
+            let charge = |to: &AtomicU64, since: Instant| {
+                to.fetch_add(since.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            };
+            let task_t0 = Instant::now();
+            if p != g {
+                let panel = panels[p].get().expect("Panel(p) publishes before its consumers");
+                let verdict = tasks.update(&mut tile, p, bounds[p], width_of(p), panel, hook);
+                charge(&update_nanos[p], task_t0);
+                return match verdict {
+                    TileVerdict::Recompute => TaskOutcome::Retry,
+                    TileVerdict::Accept => TaskOutcome::Done,
+                };
+            }
+            // Panel(0) only runs in the prologue, under the no-op hook.
+            let factored = tasks.panel(&mut tile, g.saturating_sub(1), hook);
+            charge(&panel_nanos[g], task_t0);
+            match factored {
+                Some(Ok(factored)) => {
+                    // The operands are packing for iteration g's GEMMs, so their time
+                    // is iteration g's update time, not the panel's.
+                    let publish_t0 = Instant::now();
+                    let panel = tasks.publish(&tile, factored);
+                    assert!(panels[g].set(panel).is_ok(), "Panel({g}) published twice");
+                    charge(&update_nanos[g], publish_t0);
+                    TaskOutcome::Done
+                }
+                Some(Err(e)) => {
+                    *error.lock().unwrap() = Some(e);
+                    failed.store(true, Ordering::Release);
+                    TaskOutcome::Done
+                }
+                // Rolled back by the hook: run the repair attempt, publish nothing.
+                None => TaskOutcome::Retry,
+            }
+        });
+        drop(tiles);
+        for (s, x) in self.timing.panel_s.iter_mut().zip(panel_nanos) {
+            *s += x.into_inner() as f64 * 1e-9;
+        }
+        for (s, x) in self.timing.update_s.iter_mut().zip(update_nanos) {
+            *s += x.into_inner() as f64 * 1e-9;
+        }
+        let wall_s = t0.elapsed().as_secs_f64();
+        self.timing.wall_s += wall_s;
+        match error.into_inner().unwrap() {
+            Some(e) => (stats, Err(e)),
+            None => (stats, Ok(wall_s)),
+        }
+    }
+
+    /// [`FactorGraph::timing`].
+    pub(crate) fn timing(&self) -> &DagTiming {
+        &self.timing
+    }
+
+    /// [`FactorGraph::checkpoint`].
+    pub(crate) fn checkpoint(&self) -> Checkpoint<E> {
+        Checkpoint {
+            a: self.a.clone(),
+            published: self.panels.iter().take_while(|p| p.get().is_some()).count(),
+            timing: self.timing.clone(),
+        }
+    }
+
+    /// [`FactorGraph::restore`].
+    pub(crate) fn restore(&mut self, snap: &Checkpoint<E>) {
+        self.a.data_mut().copy_from_slice(snap.a.data());
+        for slot in &mut self.panels[snap.published..] {
+            slot.take();
+        }
+        self.timing.clone_from(&snap.timing);
+    }
+
+    /// The matrix, what each panel published (the iterator panics on a panel that
+    /// never ran) and the timings.
+    pub(crate) fn into_parts(self) -> (Matrix<E>, impl Iterator<Item = T::Panel>, DagTiming) {
+        let panels = self.panels.into_iter().map(|p| p.into_inner().expect("every panel factored"));
+        (self.a, panels, self.timing)
+    }
+}
+
+/// A factorization's task graph as the numeric engine drives it: any range of
+/// iterations per run (see the module docs' execution policies). Implemented by the
+/// stepper types of [`crate::lu`], [`crate::cholesky`] and [`crate::qr`].
+pub trait FactorGraph<E: Element = f64> {
+    /// Why a panel factorization failed.
+    type Error;
+
+    /// Run iterations `iters` as one task graph under `exec`, with `hook` fused into
+    /// every trailing-update and lookahead-panel task. Iterations run in order, each
+    /// once, unless [`Self::restore`] rewinds. Returns the run's wall seconds, zero
+    /// when the range holds no task. A run of every iteration publishes its
+    /// statistics ([`last_run_stats`]).
+    fn run(
+        &mut self,
+        iters: Range<usize>,
+        hook: &dyn TrailingHook<E>,
+        exec: DagExecution,
+    ) -> Result<f64, Self::Error>;
+
+    /// Per-task durations of every run so far, the prologue's included.
+    fn timing(&self) -> &DagTiming;
+
+    /// Snapshot the state between two iterations, for [`Self::restore`].
+    fn checkpoint(&self) -> Checkpoint<E>;
+
+    /// Roll back to a [`Self::checkpoint`] of this graph, unpublishing every panel
+    /// factored since, so the iterations after it replay the identical bits.
+    fn restore(&mut self, snap: &Checkpoint<E>);
+}
+
+/// A factorization graph's state between two iterations ([`FactorGraph::checkpoint`]):
+/// the working matrix, how many panels had published, and the timings.
+#[derive(Debug, Clone)]
+pub struct Checkpoint<E: Element = f64> {
+    a: Matrix<E>,
+    published: usize,
+    timing: DagTiming,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -561,10 +891,10 @@ mod tests {
             DagExecution::Replay { seed: 99 },
         ] {
             let order = Mutex::new(Vec::new());
-            execute(diamond(), exec, "diamond", |id| {
+            record(execute(diamond(), exec, "diamond", |id| {
                 order.lock().unwrap().push(id);
                 TaskOutcome::Done
-            });
+            }));
             let order = order.into_inner().unwrap();
             assert_eq!(order.len(), 4, "{exec:?}");
             assert_eq!(order[0], 0, "{exec:?}");
@@ -639,14 +969,14 @@ mod tests {
             let _guard = threads.map(rayon::ThreadCountGuard::set);
             let attempts = AtomicUsize::new(0);
             let runs = AtomicUsize::new(0);
-            execute(diamond(), exec, "retry-diamond", |id| {
+            record(execute(diamond(), exec, "retry-diamond", |id| {
                 runs.fetch_add(1, Ordering::Relaxed);
                 if id == 1 && attempts.fetch_add(1, Ordering::Relaxed) < 2 {
                     TaskOutcome::Retry
                 } else {
                     TaskOutcome::Done
                 }
-            });
+            }));
             let stats = last_run_stats().unwrap();
             assert_eq!((stats.tasks, stats.executed, stats.retries), (4, 4, 2), "{exec:?}");
             assert_eq!(runs.load(Ordering::Relaxed), 6, "{exec:?}: 4 tasks + 2 repair re-runs");
@@ -688,12 +1018,12 @@ mod tests {
         {
             let _scope = JobScope::enter(7001);
             assert_eq!(current_job(), Some(7001));
-            execute(diamond(), DagExecution::Replay { seed: 5 }, "jobkey", |id| {
+            record(execute(diamond(), DagExecution::Replay { seed: 5 }, "jobkey", |id| {
                 if id == 0 {
                     *seen.lock().unwrap() = snapshot_active();
                 }
                 TaskOutcome::Done
-            });
+            }));
         }
         // Scope exits restore the previous (no-job) state.
         assert_eq!(current_job(), None);
@@ -731,7 +1061,7 @@ mod tests {
                     for i in 0..tasks - 1 {
                         b.add_edge(i, i + 1);
                     }
-                    execute(b, DagExecution::Pool, "svc", |_| TaskOutcome::Done);
+                    record(execute(b, DagExecution::Pool, "svc", |_| TaskOutcome::Done));
                 });
             }
         });

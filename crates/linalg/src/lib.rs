@@ -14,19 +14,18 @@
 //!   per-iteration steps (panel decomposition, panel update, trailing matrix update) are
 //!   individually exposed so the heterogeneous driver in `bsr-core` can schedule them on
 //!   the simulated CPU/GPU, inject faults and maintain ABFT checksums between steps —
-//!   plus tiled task-parallel drivers (`lu_tiled` / `cholesky_tiled` / `qr_tiled`) that
-//!   run the same math as per-tile-column tasks with one-step panel lookahead on the
-//!   persistent rayon pool, bit-identically to the synchronous paths, and
-//!   dependency-driven DAG drivers (`lu_dag` / `cholesky_dag` / `qr_dag`) that replace
-//!   the per-iteration barrier with per-tile dependency counters for depth-unbounded
-//!   lookahead — still bit-identical at any thread count. The LU and Cholesky DAG
-//!   drivers (and the tile tasks and panel kernels beneath them) are generic over
-//!   [`Element`]: the element type is all that separates an f64 run from the
-//!   mixed-precision path's f32 run,
-//! * [`task`] — the tile-column task machinery beneath the tiled drivers and the
+//!   plus one task graph per factorization that runs the same math as per-tile-column
+//!   tasks with per-tile dependency counters on the persistent rayon pool,
+//!   bit-identically to the synchronous paths at any thread count. It runs one
+//!   iteration at a time (`LuTiledStepper` / `CholeskyTiledStepper` /
+//!   `QrTiledStepper`) or all iterations at once with depth-unbounded lookahead
+//!   (`lu_dag` / `cholesky_dag` / `qr_dag`). The LU and Cholesky graphs (and the tile
+//!   tasks and panel kernels beneath them) are generic over [`Element`]: the element
+//!   type is all that separates an f64 run from the mixed-precision path's f32 run,
+//! * [`task`] — the tile-column task machinery beneath the task graphs and the
 //!   [`task::TrailingHook`] fusion point (one trait, `TrailingHook<E>`) ABFT checksum
 //!   maintenance rides on,
-//! * [`dag`] — the dependency-counter runtime beneath the DAG drivers, including the
+//! * [`dag`] — the dependency-counter runtime beneath the task graphs, including the
 //!   seeded adversarial replay executor the schedule-fuzzing suite pins determinism
 //!   with,
 //! * [`elem`] — the [`Element`] abstraction the packed kernel core is generic over

@@ -12,16 +12,13 @@ use crate::blas3::{
     gemm_acc_cols, gemm_acc_cols_prepacked, gemm_into_block, repack_a_op, trsm_into_block,
     trsm_unit_lower_cols, Diag, PackedA, Side, Trans, UpLo,
 };
-use crate::dag::{group_bounds, DagBuilder, DagExecution, DagTiming, TaskOutcome};
+use crate::dag::{Checkpoint, DagExecution, DagTiming, FactorGraph, TileGraph, TileTasks};
 use crate::elem::Element;
 use crate::matrix::{Block, Matrix};
 use crate::task::{
-    restore_rows, snapshot_rows, split_tiles, split_tiles_at, StepTiming, TileCols, TileVerdict,
-    TrailingHook,
+    panel_attempt, restore_rows, snapshot_rows, StepTiming, TileCols, TileVerdict, TrailingHook,
 };
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::ops::Range;
 
 /// Error returned by the LU factorization.
 #[derive(Debug, Clone, PartialEq)]
@@ -287,30 +284,11 @@ pub fn num_iterations(n: usize, b: usize) -> usize {
 }
 
 // =======================================================================================
-// Tiled task-parallel driver with one-step panel lookahead.
+// The tile task graph (see `crate::dag`): one iteration at a time, or all at once.
 // =======================================================================================
 
-/// Factor the diagonal panel held in `tile` (rows `[row0, n)`), swapping only within
-/// the tile's own columns — the slice-native twin of [`panel_factor`]'s recursion,
-/// running directly in the tile's column slices so a lookahead task touches nothing
-/// but its own group and pays no extract/write-back round trip. Returns the global
-/// pivot rows.
-///
-/// Swaps on columns *outside* the panel are deferred: the columns right of the panel
-/// receive them at the start of their next trailing-update task, the columns left of
-/// it in the next iteration's left-swap task — permutations compose, so late
-/// application is bit-identical to the eager `dlaswp` of [`panel_factor`].
-fn factor_panel_tile<E: Element>(
-    tile: &mut TileCols<'_, E>,
-    row0: usize,
-) -> Result<Vec<usize>, LuError> {
-    let nb = tile.width();
-    let mut local = Vec::with_capacity(nb);
-    panel_factor_slices(&mut tile.cols, row0, 0, nb, tile.col0, &mut local)?;
-    Ok(local)
-}
-
-/// Recursive slice-native LU panel: factor columns `[jcol, jcol + nb)` of the panel
+/// Recursive slice-native LU panel, the twin of [`panel_factor`]'s recursion that
+/// runs in a tile's own column slices: factor columns `[jcol, jcol + nb)` of the panel
 /// whose first diagonal element sits at absolute row `diag_row0` (so column `jcol + j`
 /// has its diagonal at row `diag_row0 + jcol + j`). Row swaps are applied to *all*
 /// panel columns immediately, exactly like [`panel_factor_cols`]; pivots are absolute
@@ -424,256 +402,152 @@ fn lu_update_tile<E: Element>(
     TileVerdict::Accept
 }
 
-/// One lookahead-panel attempt: snapshot (when the hook may demand a rollback),
-/// factor panel `k + 1` in place, then offer the fresh panel to the hook. On
-/// [`TileVerdict::Recompute`] the panel rows are restored and `None` is returned —
-/// the caller refactors from the identical pre-attempt state (same pivots, same
-/// bits). `row0` is the panel's diagonal row (`== tile.col0` for LU).
-fn lu_panel_attempt<E: Element>(
-    tile: &mut TileCols<'_, E>,
-    iter: usize,
-    row0: usize,
-    hook: &dyn TrailingHook<E>,
-) -> Option<Result<Vec<usize>, LuError>> {
-    let snap = hook.wants_snapshots().then(|| snapshot_rows(&tile.cols, row0, tile.width()));
-    let col0 = tile.col0;
-    match factor_panel_tile(tile, row0) {
-        Ok(pv) => {
-            let verdict = {
-                let mut panel_rows = tile.rows_from(row0);
-                hook.after_panel_factor(iter, col0, row0, &mut panel_rows)
-            };
-            if verdict == TileVerdict::Recompute {
-                if let Some(snap) = &snap {
-                    restore_rows(&mut tile.cols, row0, snap);
-                    return None;
-                }
-            }
-            Some(Ok(pv))
-        }
-        Err(e) => Some(Err(e)),
-    }
-}
+/// LU's tile tasks: the lookahead panel with partial pivoting, the trailing update,
+/// and the deferred row swaps on already-final groups.
+struct LuTasks;
 
-/// Tiled task-parallel LU with partial pivoting and one-step panel lookahead.
-///
-/// Produces **bit-identical** factors and pivots to [`lu_blocked`] with the same block
-/// size, at any thread count: the trailing update is decomposed into per-tile-column
-/// GEMM/TRSM tasks whose per-element summation order does not depend on the partition,
-/// row swaps outside the current panel are deferred to each column's next task, and
-/// panel `k + 1` factorizes (inside the task that updates its tile first) concurrently
-/// with the rest of trailing update `k`.
-pub fn lu_tiled(a: &Matrix, block: usize) -> Result<LuFactors, LuError> {
-    lu_tiled_with(a, block, &())
-}
-
-/// [`lu_tiled`] with a [`TrailingHook`] fused into every trailing tile task (the ABFT
-/// checksum-maintenance fusion point — see `bsr-abft`'s `FusedTileChecksums`).
-pub fn lu_tiled_with(
-    a: &Matrix,
-    block: usize,
-    hook: &dyn TrailingHook,
-) -> Result<LuFactors, LuError> {
-    let mut stepper = LuTiledStepper::new(a, block)?;
-    for k in 0..stepper.iterations() {
-        stepper.step(k, hook)?;
-    }
-    Ok(stepper.into_factors())
-}
-
-/// Panel-0 prologue of the tiled drivers: factor the first panel synchronously (every
-/// panel `k + 1` is factored by iteration `k`'s lookahead task).
-fn lu_prologue(lu: &mut Matrix, block: usize, pivots: &mut Vec<usize>) -> Result<(), LuError> {
-    let (_, mut tiles) = split_tiles(lu, 0, 0, block);
-    pivots.extend(factor_panel_tile(&mut tiles[0], 0)?);
-    Ok(())
-}
-
-/// What the lookahead task reports back: the panel factorization result and its
-/// measured duration.
-type PanelOutcome = (Result<Vec<usize>, LuError>, f64);
-
-/// One tiled LU iteration: the per-tile-column task graph of trailing update `k`
-/// with the lookahead factorization of panel `k + 1` riding its tile's task.
-fn lu_step(
-    lu: &mut Matrix,
-    block: usize,
-    pivots: &mut Vec<usize>,
-    l21p: &mut PackedA,
-    k: usize,
-    hook: &dyn TrailingHook,
-) -> Result<StepTiming, LuError> {
-    let n = lu.rows();
-    let j0 = k * block;
-    let nb = block.min(n - j0);
-    let swaps: Vec<usize> = pivots[j0..j0 + nb].to_vec();
-    let region_t0 = Instant::now();
-    if j0 + nb >= n {
-        // Last panel: only its deferred swaps on the left columns remain.
-        lu.apply_row_swaps(j0, &swaps, 0, j0);
-        return Ok(StepTiming { panel_s: 0.0, update_s: region_t0.elapsed().as_secs_f64() });
-    }
-    // Operands shared (read-only) by all of this iteration's tasks; L21 is packed
-    // once here instead of once per tile task inside the GEMMs.
-    let l11 = lu.copy_block(Block::new(j0, j0, nb, nb)).unit_lower_triangular();
-    repack_a_op(l21p, lu, Trans::No, j0 + nb, j0, n - j0 - nb, nb);
-    let (left, tiles) = split_tiles(lu, j0, j0 + nb, block);
-    let panel_result: Mutex<Option<PanelOutcome>> = Mutex::new(None);
-    rayon::scope(|s| {
-        let mut tiles = tiles.into_iter();
-        // Lookahead: the tile feeding panel k + 1 is updated first and the panel
-        // factorizes in the same task, overlapping the remaining tile updates.
-        let look = tiles.next().expect("trailing tiles exist");
-        {
-            let (l11, l21p, swaps, panel_result) = (&l11, &*l21p, &swaps[..], &panel_result);
-            s.spawn(move || {
-                let mut tile = look;
-                while lu_update_tile(&mut tile, k, j0, nb, swaps, l11, l21p, hook)
-                    == TileVerdict::Recompute
-                {}
-                let panel_t0 = Instant::now();
-                let result = loop {
-                    if let Some(r) = lu_panel_attempt(&mut tile, k, j0 + nb, hook) {
-                        break r;
-                    }
-                };
-                let panel_s = panel_t0.elapsed().as_secs_f64();
-                *panel_result.lock().unwrap() = Some((result, panel_s));
-            });
-        }
-        for tile in tiles {
-            let (l11, l21p, swaps) = (&l11, &*l21p, &swaps[..]);
-            s.spawn(move || {
-                let mut tile = tile;
-                while lu_update_tile(&mut tile, k, j0, nb, swaps, l11, l21p, hook)
-                    == TileVerdict::Recompute
-                {}
-            });
-        }
-        // Panel k's deferred swaps on the already-final columns left of the panel
-        // ride the same schedule instead of serializing the iteration.
-        if !left.is_empty() {
-            let swaps = &swaps[..];
-            s.spawn(move || {
-                let mut left = left;
-                crate::task::apply_row_swaps_cols(&mut left, j0, swaps);
-            });
-        }
-    });
-    let update_s = region_t0.elapsed().as_secs_f64();
-    match panel_result.into_inner().unwrap() {
-        Some((Ok(pv), panel_s)) => {
-            pivots.extend(pv);
-            Ok(StepTiming { panel_s, update_s })
-        }
-        Some((Err(e), _)) => Err(e),
-        None => unreachable!("lookahead task always records a panel result"),
-    }
-}
-
-/// Iteration-at-a-time driver of the tiled task-parallel LU: the per-iteration twin of
-/// [`lu_tiled_with`], built for callers (the numeric-mode engine in `bsr-core`) that
-/// interleave every blocked iteration with planning, fault injection and measured-time
-/// accounting. Stepping through all iterations in order produces **bit-identical**
-/// factors to [`lu_tiled`] / [`lu_blocked`], and each step reports its measured
-/// [`StepTiming`].
-pub struct LuTiledStepper {
-    lu: Matrix,
+/// What `Panel(p)` publishes: its pivot rows, plus `L11` (unit lower) and `L21`
+/// pre-packed once for all of iteration `p`'s update tasks.
+struct LuPanel<E: Element> {
     pivots: Vec<usize>,
-    block: usize,
-    l21p: PackedA,
-    prologue_s: f64,
+    l11: Matrix<E>,
+    l21p: PackedA<E>,
 }
 
-impl LuTiledStepper {
-    /// Clone `a` and factor panel 0 synchronously (the prologue every tiled run pays
-    /// before its first trailing update).
-    pub fn new(a: &Matrix, block: usize) -> Result<Self, LuError> {
+impl<E: Element> TileTasks<E> for LuTasks {
+    type Factored = Vec<usize>;
+    type Panel = LuPanel<E>;
+    type Error = LuError;
+    const LEFT_SWAPS: bool = true;
+
+    /// Factor the panel in its own tile's column slices, swapping only within them.
+    /// Swaps on the other columns are deferred: groups right of the panel receive
+    /// them at the start of their next update task, groups left of it in a `LeftSwap`
+    /// task. Permutations compose, so late application is bit-identical to the eager
+    /// `dlaswp` of [`panel_factor`].
+    fn panel(
+        &self,
+        tile: &mut TileCols<'_, E>,
+        iter: usize,
+        hook: &dyn TrailingHook<E>,
+    ) -> Option<Result<Vec<usize>, LuError>> {
+        let (row0, nb) = (tile.col0, tile.width());
+        panel_attempt(tile, iter, hook, |tile| {
+            let mut pivots = Vec::with_capacity(nb);
+            panel_factor_slices(&mut tile.cols, row0, 0, nb, row0, &mut pivots).map(|()| pivots)
+        })
+    }
+
+    fn publish(&self, tile: &TileCols<'_, E>, pivots: Vec<usize>) -> LuPanel<E> {
+        let (row0, nb, n) = (tile.col0, tile.width(), tile.rows());
+        let l11 = tile.extract(row0, row0 + nb).unit_lower_triangular();
+        let mut l21p = PackedA::default();
+        repack_a_op(&mut l21p, &tile.extract(row0 + nb, n), Trans::No, 0, 0, n - row0 - nb, nb);
+        LuPanel { pivots, l11, l21p }
+    }
+
+    fn update(
+        &self,
+        tile: &mut TileCols<'_, E>,
+        p: usize,
+        j0: usize,
+        nb: usize,
+        panel: &LuPanel<E>,
+        hook: &dyn TrailingHook<E>,
+    ) -> TileVerdict {
+        if tile.col0 < j0 {
+            // LeftSwap(p, g): panel p's deferred swaps on an already-final group.
+            tile.apply_row_swaps(j0, &panel.pivots);
+            return TileVerdict::Accept;
+        }
+        lu_update_tile(tile, p, j0, nb, &panel.pivots, &panel.l11, &panel.l21p, hook)
+    }
+}
+
+/// LU's tile task graph (see [`crate::dag`]), one iteration at a time: the stepped
+/// driver, and the state [`lu_dag_with`] runs whole. Stepping through every iteration
+/// in order produces factors and pivots **bit-identical** to [`lu_blocked`] and
+/// [`lu_dag_with`] with the same block size, at any thread count; each step reports
+/// its measured [`StepTiming`]. Generic over the [`Element`] type like the DAG driver.
+pub struct LuTiledStepper<E: Element = f64>(TileGraph<E, LuTasks>);
+
+impl<E: Element> LuTiledStepper<E> {
+    /// Copy `a` and factor panel 0, the prologue every run pays before its first
+    /// trailing update.
+    pub fn new(a: &Matrix<E>, block: usize) -> Result<Self, LuError> {
         if !a.is_square() {
             return Err(LuError::NotSquare);
         }
-        assert!(block > 0, "block size must be positive");
-        let n = a.rows();
-        let mut lu = a.clone();
-        let mut pivots = Vec::with_capacity(n);
-        let t0 = Instant::now();
-        if n > 0 {
-            lu_prologue(&mut lu, block, &mut pivots)?;
-        }
-        let prologue_s = t0.elapsed().as_secs_f64();
-        Ok(Self { lu, pivots, block, l21p: PackedA::default(), prologue_s })
+        let label = format!("lu n={} b={block}", a.rows());
+        let mut graph = TileGraph::new(LuTasks, a.clone(), a.rows(), block, label);
+        graph.prologue()?;
+        Ok(Self(graph))
     }
 
     /// Number of blocked iterations; [`Self::step`] must be called exactly once for
     /// each `k` in `0..iterations()`, in order.
     pub fn iterations(&self) -> usize {
-        let n = self.lu.rows();
-        if n == 0 { 0 } else { num_iterations(n, self.block) }
+        self.0.iterations()
     }
 
     /// Measured duration of the panel-0 prologue factored by [`Self::new`].
     pub fn prologue_panel_s(&self) -> f64 {
-        self.prologue_s
+        self.0.prologue_panel_s()
     }
 
-    /// Run iteration `k`'s task graph (trailing tile updates + lookahead panel
-    /// `k + 1`) with `hook` fused into every trailing tile task.
-    pub fn step(&mut self, k: usize, hook: &dyn TrailingHook) -> Result<StepTiming, LuError> {
-        lu_step(&mut self.lu, self.block, &mut self.pivots, &mut self.l21p, k, hook)
-    }
-
-    /// The matrix in its current (partially factored) state.
-    pub fn matrix(&self) -> &Matrix {
-        &self.lu
-    }
-
-    /// Snapshot the stepper's numeric state (matrix + pivots) so a recovery policy
-    /// can replay an iteration: [`Self::restore`] followed by `step(k, ..)` re-runs
-    /// iteration `k` bit-identically (the packed-operand scratch is rebuilt per
-    /// step and needs no saving).
-    pub fn checkpoint(&self) -> (Matrix, Vec<usize>) {
-        (self.lu.clone(), self.pivots.clone())
-    }
-
-    /// Restore a [`Self::checkpoint`] taken before the current iteration.
-    pub fn restore(&mut self, snap: &(Matrix, Vec<usize>)) {
-        self.lu = snap.0.clone();
-        self.pivots = snap.1.clone();
+    /// Run iteration `k`'s graph on the pool (its trailing tile updates, deferred left
+    /// swaps and lookahead panel `k + 1`) with `hook` fused into every trailing tile
+    /// and panel task.
+    pub fn step(&mut self, k: usize, hook: &dyn TrailingHook<E>) -> Result<StepTiming, LuError> {
+        self.0.step(k, hook)
     }
 
     /// Package the factors after the final step.
-    pub fn into_factors(self) -> LuFactors {
-        LuFactors { lu: self.lu, pivots: self.pivots }
+    pub fn into_factors(self) -> LuFactors<E> {
+        let (lu, panels, _) = self.0.into_parts();
+        LuFactors { lu, pivots: panels.flat_map(|p| p.pivots).collect() }
     }
 }
 
-// =======================================================================================
-// Dependency-driven DAG driver (depth-unbounded lookahead; see `crate::dag`).
-// =======================================================================================
+impl<E: Element> FactorGraph<E> for LuTiledStepper<E> {
+    type Error = LuError;
 
-/// Operands panel `k` publishes for its trailing-update consumers: `L11` (unit lower)
-/// and `L21` pre-packed for the tile GEMMs. Written once by the `Panel(k)` task before
-/// any consumer is unlocked; bit-identical to the barrier stepper's per-iteration
-/// copies (the pack reads the same submatrix values).
-struct LuPanelOps<E: Element> {
-    l11: Matrix<E>,
-    l21p: PackedA<E>,
+    fn run(
+        &mut self,
+        iters: Range<usize>,
+        hook: &dyn TrailingHook<E>,
+        exec: DagExecution,
+    ) -> Result<f64, LuError> {
+        self.0.run(iters, hook, exec)
+    }
+
+    fn timing(&self) -> &DagTiming {
+        self.0.timing()
+    }
+
+    fn checkpoint(&self) -> Checkpoint<E> {
+        self.0.checkpoint()
+    }
+
+    fn restore(&mut self, snap: &Checkpoint<E>) {
+        self.0.restore(snap)
+    }
 }
 
 /// Dependency-driven DAG LU with partial pivoting and depth-unbounded panel lookahead.
 ///
-/// Same math, same bits as [`lu_blocked`] / [`lu_tiled`] with the same block size, at
-/// any thread count and under any task schedule — but instead of a per-iteration
-/// barrier, every tile task becomes runnable the moment its own tile (from iteration
-/// `k − 1`) and panel `k`'s operands are final, so iteration `k + 2`'s GEMMs can start
-/// while iteration `k`'s slow tiles are still in flight. See [`crate::dag`] for the
-/// graph shape and the determinism argument.
+/// Same math, same bits as [`lu_blocked`] with the same block size, at any thread
+/// count and under any task schedule: every tile task becomes runnable the moment its
+/// own tile (from iteration `k − 1`) and panel `k`'s operands are final, so iteration
+/// `k + 2`'s GEMMs can start while iteration `k`'s slow tiles are still in flight. See
+/// [`crate::dag`] for the graph shape and the determinism argument.
 pub fn lu_dag(a: &Matrix, block: usize) -> Result<LuFactors, LuError> {
     lu_dag_with(a, block, &(), DagExecution::Pool).map(|(f, _)| f)
 }
 
 /// [`lu_dag`] with a [`TrailingHook`] fused into every trailing tile task and an
-/// explicit [`DagExecution`] mode; also returns the per-task measured [`DagTiming`].
+/// explicit [`DagExecution`] mode; also returns the per-task measured [`DagTiming`]:
+/// [`LuTiledStepper::new`], then every iteration as one graph.
 ///
 /// Generic over the [`Element`] type: the mixed-precision path is this driver at
 /// `E = f32` (same graph, same hook call sites, same retry protocol), and the
@@ -684,122 +558,10 @@ pub fn lu_dag_with<E: Element>(
     hook: &dyn TrailingHook<E>,
     exec: DagExecution,
 ) -> Result<(LuFactors<E>, DagTiming), LuError> {
-    if !a.is_square() {
-        return Err(LuError::NotSquare);
-    }
-    assert!(block > 0, "block size must be positive");
-    let n = a.rows();
-    let mut lu = a.clone();
-    if n == 0 {
-        return Ok((LuFactors { lu, pivots: Vec::new() }, DagTiming::default()));
-    }
-    let t0 = Instant::now();
-    let bounds = group_bounds(n, n, block);
-    let g = bounds.len();
-    let width_of = |p: usize| bounds.get(p + 1).copied().unwrap_or(n) - bounds[p];
-    let ops: Vec<OnceLock<LuPanelOps<E>>> = (0..g).map(|_| OnceLock::new()).collect();
-    let swaps: Vec<OnceLock<Vec<usize>>> = (0..g).map(|_| OnceLock::new()).collect();
-    let failed = AtomicBool::new(false);
-    let error: Mutex<Option<LuError>> = Mutex::new(None);
-    let panel_nanos: Vec<AtomicU64> = (0..g).map(|_| AtomicU64::new(0)).collect();
-    let update_nanos: Vec<AtomicU64> = (0..g).map(|_| AtomicU64::new(0)).collect();
-    let tiles: Vec<Mutex<TileCols<'_, E>>> =
-        split_tiles_at(&mut lu, &bounds).into_iter().map(Mutex::new).collect();
-    // Group `grp` owns one sequential chain with a task per iteration `p`
-    // (id = grp · G + p): Update(p, grp) for p < grp, Panel(grp) at p = grp,
-    // LeftSwap(p, grp) — panel p's deferred swaps on this already-final group — for
-    // p > grp. Each task depends on its chain predecessor plus, when p ≠ grp, on
-    // Panel(p)'s publication (id p · G + p).
-    let mut builder = DagBuilder::new();
-    for _ in 0..g * g {
-        builder.add_task();
-    }
-    for grp in 0..g {
-        for p in 0..g {
-            let id = grp * g + p;
-            if p > 0 {
-                builder.add_edge(id - 1, id);
-            }
-            if p != grp {
-                builder.add_edge(p * g + p, id);
-            }
-        }
-    }
-    crate::dag::execute(builder, exec, &format!("lu n={n} b={block}"), |id| {
-        let grp = id / g;
-        let p = id % g;
-        let mut tile = tiles[grp].lock().unwrap();
-        // After a panel failure the rest of the graph drains without numeric work
-        // (counters still decrement, so nothing leaks); panels are totally ordered
-        // through the chains, so exactly the first error is recorded.
-        if failed.load(Ordering::Acquire) {
-            return TaskOutcome::Done;
-        }
-        let j0 = bounds[p];
-        let task_t0 = Instant::now();
-        if p == grp {
-            // Panel(grp) is iteration grp − 1's lookahead panel; the prologue
-            // panel (grp = 0) predates every iteration and is never offered to
-            // the hook — matching the stepped drivers.
-            let attempt = if grp > 0 {
-                lu_panel_attempt(&mut tile, grp - 1, j0, hook)
-            } else {
-                Some(factor_panel_tile(&mut tile, j0))
-            };
-            let outcome = match attempt {
-                Some(Ok(pv)) => {
-                    if grp + 1 < g {
-                        let nb = tile.width();
-                        let l11 = tile.extract(j0, j0 + nb).unit_lower_triangular();
-                        let l21 = tile.extract(j0 + nb, n);
-                        let mut l21p = PackedA::default();
-                        repack_a_op(&mut l21p, &l21, Trans::No, 0, 0, n - j0 - nb, nb);
-                        assert!(ops[grp].set(LuPanelOps { l11, l21p }).is_ok());
-                    }
-                    assert!(swaps[grp].set(pv).is_ok());
-                    TaskOutcome::Done
-                }
-                Some(Err(e)) => {
-                    *error.lock().unwrap() = Some(e);
-                    failed.store(true, Ordering::Release);
-                    TaskOutcome::Done
-                }
-                // Rolled back by the hook: resubmit the repair attempt without
-                // publishing operands or pivots.
-                None => TaskOutcome::Retry,
-            };
-            panel_nanos[grp].fetch_add(task_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            outcome
-        } else {
-            let sw = swaps[p].get().expect("Panel(p) publishes before its consumers");
-            let outcome = if p < grp {
-                let op = ops[p].get().expect("Panel(p) publishes before its consumers");
-                match lu_update_tile(&mut tile, p, j0, width_of(p), sw, &op.l11, &op.l21p, hook) {
-                    TileVerdict::Recompute => TaskOutcome::Retry,
-                    TileVerdict::Accept => TaskOutcome::Done,
-                }
-            } else {
-                tile.apply_row_swaps(j0, sw);
-                TaskOutcome::Done
-            };
-            update_nanos[p].fetch_add(task_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            outcome
-        }
-    });
-    drop(tiles);
-    if let Some(e) = error.into_inner().unwrap() {
-        return Err(e);
-    }
-    let mut pivots = Vec::with_capacity(n);
-    for slot in swaps {
-        pivots.extend(slot.into_inner().expect("every panel factored"));
-    }
-    let timing = DagTiming {
-        panel_s: panel_nanos.iter().map(|x| x.load(Ordering::Relaxed) as f64 * 1e-9).collect(),
-        update_s: update_nanos.iter().map(|x| x.load(Ordering::Relaxed) as f64 * 1e-9).collect(),
-        wall_s: t0.elapsed().as_secs_f64(),
-    };
-    Ok((LuFactors { lu, pivots }, timing))
+    let mut graph = LuTiledStepper::new(a, block)?;
+    graph.run(0..graph.iterations(), hook, exec)?;
+    let timing = graph.timing().clone();
+    Ok((graph.into_factors(), timing))
 }
 
 #[cfg(test)]
@@ -907,24 +669,33 @@ mod tests {
         assert_eq!(num_iterations(100, 30), 4);
     }
 
+    /// The stepped driver: the prologue, then one graph per iteration.
+    fn lu_stepped(a: &Matrix, block: usize) -> Result<LuFactors, LuError> {
+        let mut stepper = LuTiledStepper::new(a, block)?;
+        for k in 0..stepper.iterations() {
+            stepper.step(k, &())?;
+        }
+        Ok(stepper.into_factors())
+    }
+
     #[test]
-    fn tiled_is_bit_identical_to_blocked() {
+    fn stepped_is_bit_identical_to_blocked() {
         let mut rng = ChaCha8Rng::seed_from_u64(24);
         for (n, b) in [(1, 1), (5, 2), (16, 8), (33, 8), (64, 16), (40, 64)] {
             let a = random_matrix(&mut rng, n, n);
             let sync = lu_blocked(&a, b).unwrap();
-            let tiled = lu_tiled(&a, b).unwrap();
-            assert_eq!(sync.pivots, tiled.pivots, "pivots differ n={n} b={b}");
-            assert_eq!(sync.lu, tiled.lu, "factors differ n={n} b={b}");
+            let stepped = lu_stepped(&a, b).unwrap();
+            assert_eq!(sync.pivots, stepped.pivots, "pivots differ n={n} b={b}");
+            assert_eq!(sync.lu, stepped.lu, "factors differ n={n} b={b}");
         }
     }
 
     #[test]
-    fn tiled_detects_singularity() {
+    fn stepped_detects_singularity() {
         let a = Matrix::zeros(6, 6);
-        assert!(matches!(lu_tiled(&a, 2), Err(LuError::Singular(0))));
+        assert!(matches!(lu_stepped(&a, 2), Err(LuError::Singular(0))));
         let a = Matrix::zeros(3, 4);
-        assert!(matches!(lu_tiled(&a, 2), Err(LuError::NotSquare)));
+        assert!(matches!(lu_stepped(&a, 2), Err(LuError::NotSquare)));
     }
 
     #[test]

@@ -18,16 +18,13 @@ use crate::blas1::{axpy, nrm2, scal};
 use crate::blas3::{
     gemm, gemm_acc_cols_prepacked, gemm_block, repack_a_op, Operand, PackedA, Trans,
 };
-use crate::dag::{group_bounds, DagBuilder, DagExecution, DagTiming, TaskOutcome};
+use crate::dag::{Checkpoint, DagExecution, DagTiming, FactorGraph, TileGraph, TileTasks};
 use crate::matrix::{Block, Matrix};
 use crate::task::{
-    restore_rows, snapshot_rows, split_tiles, split_tiles_at, StepTiming, TileCols, TileVerdict,
-    TrailingHook,
+    panel_attempt, restore_rows, snapshot_rows, StepTiming, TileCols, TileVerdict, TrailingHook,
 };
+use std::convert::Infallible;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
 /// Reflector-group width used when applying `Q`/`Qᵀ` from stored reflectors.
 /// Independent of the block size the factorization used: reflectors compose column by
@@ -433,40 +430,31 @@ pub fn num_iterations(n: usize, b: usize) -> usize {
 }
 
 // =======================================================================================
-// Tiled task-parallel driver with one-step panel lookahead.
+// The tile task graph (see `crate::dag`): one iteration at a time, or all at once.
 // =======================================================================================
 
-/// A factored diagonal panel as the tile drivers publish it: its `tau`s, its explicit
-/// reflectors `V` (rows `[row0, m)`) and its compact-WY `T`.
-struct FactoredPanel {
-    taus: Vec<f64>,
-    v: Matrix,
-    t: Matrix,
-}
-
-/// Factor the `pw`-column diagonal QR panel held in the first columns of `tile` (rows
-/// `[row0, m)`) on an extracted copy. `pw` may be narrower than the tile when the panel
-/// is clipped by `min(m, n)` on wide matrices.
-fn factor_panel_tile(tile: &mut TileCols<'_>, row0: usize, pw: usize) -> FactoredPanel {
-    let m = tile.rows();
-    let mut panel = crate::task::extract_cols(&tile.cols[..pw], row0, m);
+/// Factor the diagonal QR panel held in `tile` (rows `[row0, m)`) on an extracted copy
+/// and write it back; returns its `tau`s, explicit reflectors `V` and compact-WY `T`.
+/// On wide matrices the partition clips panel groups at `min(m, n)`, so the group is
+/// exactly the panel.
+fn factor_panel_tile(tile: &mut TileCols<'_>, row0: usize) -> (Vec<f64>, Matrix, Matrix) {
+    let (m, pw) = (tile.rows(), tile.width());
+    let mut panel = crate::task::extract_cols(&tile.cols, row0, m);
     let mut taus = Vec::with_capacity(pw);
     let (v, t) = factor_panel_wy(&mut panel, 0, pw, &mut taus);
-    for j in 0..pw {
-        tile.cols[j][row0..].copy_from_slice(panel.col(j));
+    for (j, col) in tile.cols.iter_mut().enumerate() {
+        col[row0..].copy_from_slice(panel.col(j));
     }
-    FactoredPanel { taus, v, t }
+    (taus, v, t)
 }
 
 /// One QR trailing tile task of iteration `k`: the tile's slice of the compact-WY
 /// block-reflector application `C ← (I − V Tᵀ Vᵀ) C` over rows `[j0, m)`, then the
-/// trailing hook over rows `[trail_row0, m)` — the drivers pass `trail_row0 = j0`,
-/// the full row span the reflector writes, because rows `[j0, j0 + nb)` of the
-/// trailing columns become final `R` entries this iteration and are never revisited
-/// (a hook that skipped them would leave them permanently unchecked). `V` arrives
-/// pre-packed
-/// in both orientations (`vt_p` for `Vᵀ C`, `v_p` for `C − V W`), shared by every tile
-/// task of the iteration.
+/// trailing hook over the same rows — the full row span the reflector writes, because
+/// rows `[j0, j0 + nb)` of the trailing columns become final `R` entries this
+/// iteration and are never revisited (a hook that skipped them would leave them
+/// permanently unchecked). `V` arrives pre-packed in both orientations (`vt_p` for
+/// `Vᵀ C`, `v_p` for `C − V W`), shared by every tile task of the iteration.
 ///
 /// Each call is one **self-contained attempt**: if the hook opted into snapshots and
 /// returns [`TileVerdict::Recompute`], the tile is rolled back to its pre-attempt
@@ -481,10 +469,9 @@ fn qr_update_tile(
     vt_p: &PackedA,
     v_p: &PackedA,
     t: &Matrix,
-    trail_row0: usize,
     hook: &dyn TrailingHook,
 ) -> TileVerdict {
-    let snap = hook.wants_snapshots().then(|| snapshot_rows(&tile.cols, trail_row0, tile.width()));
+    let snap = hook.wants_snapshots().then(|| snapshot_rows(&tile.cols, j0, tile.width()));
     let m = tile.rows();
     let width = tile.width();
     let c = tile.extract(j0, m);
@@ -502,391 +489,162 @@ fn qr_update_tile(
     let verdict = {
         let mut sub = tile.rows_from(j0);
         gemm_acc_cols_prepacked(-1.0, v_p, 0, &w, Trans::No, 0, &mut sub, false);
-        let mut hook_rows = tile.rows_from(trail_row0);
-        hook.after_tile_update(iter, col0, trail_row0, &mut hook_rows)
+        hook.after_tile_update(iter, col0, j0, &mut sub)
     };
     if verdict == TileVerdict::Recompute {
         if let Some(snap) = &snap {
-            restore_rows(&mut tile.cols, trail_row0, snap);
+            restore_rows(&mut tile.cols, j0, snap);
             return TileVerdict::Recompute;
         }
     }
     TileVerdict::Accept
 }
 
-/// One lookahead-panel attempt: snapshot (when the hook may demand a rollback),
-/// factor the `pw`-wide panel, then offer the freshly written panel columns to the
-/// hook. On [`TileVerdict::Recompute`] the panel rows are restored and `None` is
-/// returned — the caller refactors from the identical pre-attempt state (same
-/// reflectors, same bits). Only the first `pw` columns are written, snapshotted and
-/// shown to the hook (on wide matrices the tile may be wider than the panel).
-fn qr_panel_attempt(
-    tile: &mut TileCols<'_>,
-    iter: usize,
-    row0: usize,
-    pw: usize,
-    hook: &dyn TrailingHook,
-) -> Option<FactoredPanel> {
-    let snap = hook.wants_snapshots().then(|| snapshot_rows(&tile.cols, row0, pw));
-    let col0 = tile.col0;
-    let result = factor_panel_tile(tile, row0, pw);
-    let verdict = {
-        let mut panel_rows = tile.rows_from(row0);
-        hook.after_panel_factor(iter, col0, row0, &mut panel_rows[..pw])
-    };
-    if verdict == TileVerdict::Recompute {
-        if let Some(snap) = &snap {
-            restore_rows(&mut tile.cols, row0, snap);
-            return None;
-        }
-    }
-    Some(result)
-}
+/// QR's tile tasks: the lookahead panel and the block-reflector update. A panel never
+/// fails, so the error type is uninhabited.
+struct QrTasks;
 
-/// Tiled task-parallel Householder QR with one-step panel lookahead.
-///
-/// Produces **bit-identical** factors (`qr` storage and `tau`s) to [`qr_blocked`] with
-/// the same block size, at any thread count: the block-reflector trailing update is
-/// decomposed into per-tile-column tasks (columns of `C` are independent through the
-/// compact-WY GEMMs), and panel `k + 1` factorizes — inside the task that updates its
-/// tile first — concurrently with the rest of trailing update `k`.
-pub fn qr_tiled(a: &Matrix, block: usize) -> QrFactors {
-    qr_tiled_with(a, block, &())
-}
-
-/// [`qr_tiled`] with a [`TrailingHook`] fused into every trailing tile task.
-pub fn qr_tiled_with(a: &Matrix, block: usize, hook: &dyn TrailingHook) -> QrFactors {
-    let mut stepper = QrTiledStepper::new(a, block);
-    for k in 0..stepper.iterations() {
-        stepper.step(k, hook);
-    }
-    stepper.into_factors()
-}
-
-/// What the lookahead task reports back: the next panel and the measured duration of
-/// its factorization.
-type PanelOutcome = (FactoredPanel, f64);
-
-/// One tiled QR iteration: the per-tile-column block-reflector task graph of trailing
-/// update `k` with the lookahead factorization of panel `k + 1` riding its tile's task.
-#[allow(clippy::too_many_arguments)] // mirrors the per-iteration operand set
-fn qr_step(
-    qr: &mut Matrix,
-    block: usize,
-    kmax: usize,
-    taus: &mut Vec<f64>,
-    tmat: &mut Matrix,
-    vt_p: &mut PackedA,
-    v_p: &mut PackedA,
-    k: usize,
-    hook: &dyn TrailingHook,
-) -> StepTiming {
-    let m = qr.rows();
-    let n = qr.cols();
-    let j0 = k * block;
-    let nb = block.min(kmax - j0);
-    if j0 + nb >= n {
-        return StepTiming::default();
-    }
-    let region_t0 = Instant::now();
-    let v = extract_reflectors(qr, j0, nb);
-    repack_a_op(vt_p, &v, Trans::Yes, 0, 0, nb, m - j0);
-    repack_a_op(v_p, &v, Trans::No, 0, 0, m - j0, nb);
-    let (_, tiles) = split_tiles(qr, 0, j0 + nb, block);
-    let next_panel: Mutex<Option<PanelOutcome>> = Mutex::new(None);
-    rayon::scope(|s| {
-        let mut tiles = tiles.into_iter();
-        let look = tiles.next().expect("trailing tiles exist");
-        {
-            let (vt_p, v_p, tmat, next_panel) = (&*vt_p, &*v_p, &*tmat, &next_panel);
-            s.spawn(move || {
-                let mut tile = look;
-                while qr_update_tile(&mut tile, k, j0, nb, vt_p, v_p, tmat, j0, hook)
-                    == TileVerdict::Recompute
-                {}
-                // Factor panel k + 1 when this tile contains one (on wide inputs
-                // the trailing columns outlive the panels).
-                if tile.col0 < kmax {
-                    let pw = tile.width().min(kmax - tile.col0);
-                    let row0 = tile.col0;
-                    let panel_t0 = Instant::now();
-                    let result = loop {
-                        if let Some(r) = qr_panel_attempt(&mut tile, k, row0, pw, hook) {
-                            break r;
-                        }
-                    };
-                    let panel_s = panel_t0.elapsed().as_secs_f64();
-                    *next_panel.lock().unwrap() = Some((result, panel_s));
-                }
-            });
-        }
-        for tile in tiles {
-            let (vt_p, v_p, tmat) = (&*vt_p, &*v_p, &*tmat);
-            s.spawn(move || {
-                let mut tile = tile;
-                while qr_update_tile(&mut tile, k, j0, nb, vt_p, v_p, tmat, j0, hook)
-                    == TileVerdict::Recompute
-                {}
-            });
-        }
-    });
-    let update_s = region_t0.elapsed().as_secs_f64();
-    let mut panel_s = 0.0;
-    if let Some((panel, measured)) = next_panel.into_inner().unwrap() {
-        taus.extend(panel.taus);
-        *tmat = panel.t;
-        panel_s = measured;
-    }
-    StepTiming { panel_s, update_s }
-}
-
-/// Iteration-at-a-time driver of the tiled task-parallel QR: the per-iteration twin of
-/// [`qr_tiled_with`] for callers (the numeric-mode engine in `bsr-core`) that
-/// interleave every blocked iteration with planning, fault injection and measured-time
-/// accounting. Stepping through all iterations in order produces **bit-identical**
-/// factors to [`qr_tiled`] / [`qr_blocked`], and each step reports its measured
-/// [`StepTiming`].
-pub struct QrTiledStepper {
-    qr: Matrix,
+/// What `Panel(p)` publishes: its `tau`s, its reflectors `V` pre-packed in both GEMM
+/// orientations and its compact-WY `T`, shared by all of iteration `p`'s update tasks.
+struct QrPanel {
     taus: Vec<f64>,
-    tmat: Matrix,
-    block: usize,
-    kmax: usize,
-    vt_p: PackedA,
-    v_p: PackedA,
-    prologue_s: f64,
-}
-
-impl QrTiledStepper {
-    /// Clone `a` and factor panel 0 synchronously (the prologue every tiled run pays
-    /// before its first trailing update).
-    pub fn new(a: &Matrix, block: usize) -> Self {
-        assert!(block > 0, "block size must be positive");
-        let m = a.rows();
-        let n = a.cols();
-        let kmax = n.min(m);
-        let mut qr = a.clone();
-        let mut taus = Vec::with_capacity(kmax);
-        let t0 = Instant::now();
-        let tmat = if kmax == 0 {
-            Matrix::zeros(0, 0)
-        } else {
-            let (_, mut tiles) = split_tiles(&mut qr, 0, 0, block);
-            let panel = factor_panel_tile(&mut tiles[0], 0, block.min(kmax));
-            taus.extend(panel.taus);
-            panel.t
-        };
-        let prologue_s = t0.elapsed().as_secs_f64();
-        Self {
-            qr,
-            taus,
-            tmat,
-            block,
-            kmax,
-            vt_p: PackedA::default(),
-            v_p: PackedA::default(),
-            prologue_s,
-        }
-    }
-
-    /// Number of blocked iterations; [`Self::step`] must be called exactly once for
-    /// each `k` in `0..iterations()`, in order.
-    pub fn iterations(&self) -> usize {
-        self.kmax.div_ceil(self.block)
-    }
-
-    /// Measured duration of the panel-0 prologue factored by [`Self::new`].
-    pub fn prologue_panel_s(&self) -> f64 {
-        self.prologue_s
-    }
-
-    /// Run iteration `k`'s task graph (trailing tile updates + lookahead panel
-    /// `k + 1`) with `hook` fused into every trailing tile task.
-    pub fn step(&mut self, k: usize, hook: &dyn TrailingHook) -> StepTiming {
-        qr_step(
-            &mut self.qr,
-            self.block,
-            self.kmax,
-            &mut self.taus,
-            &mut self.tmat,
-            &mut self.vt_p,
-            &mut self.v_p,
-            k,
-            hook,
-        )
-    }
-
-    /// The matrix in its current (partially factored) state.
-    pub fn matrix(&self) -> &Matrix {
-        &self.qr
-    }
-
-    /// Snapshot the factorization state before an iteration, for [`Self::restore`]:
-    /// the compact storage, the `tau`s accumulated so far and the pending panel's
-    /// `T` factor. The packed `V` operands are rebuilt from the matrix every step,
-    /// so stepping from a restored checkpoint replays the identical bits.
-    pub fn checkpoint(&self) -> (Matrix, Vec<f64>, Matrix) {
-        (self.qr.clone(), self.taus.clone(), self.tmat.clone())
-    }
-
-    /// Roll the factorization state back to a [`Self::checkpoint`] taken earlier,
-    /// so the iteration that followed it can be replayed.
-    pub fn restore(&mut self, snap: &(Matrix, Vec<f64>, Matrix)) {
-        self.qr = snap.0.clone();
-        self.taus = snap.1.clone();
-        self.tmat = snap.2.clone();
-    }
-
-    /// Package the factors after the final step.
-    pub fn into_factors(self) -> QrFactors {
-        QrFactors { qr: self.qr, taus: self.taus }
-    }
-}
-
-// =======================================================================================
-// Dependency-driven DAG driver (depth-unbounded lookahead; see `crate::dag`).
-// =======================================================================================
-
-/// Operands panel `k` publishes for its trailing-update consumers: the reflectors `V`
-/// pre-packed in both GEMM orientations and the compact-WY `T` factor. Bit-identical
-/// to the barrier stepper's per-iteration copies (the pack reads the same reflector
-/// values the full-matrix `extract_reflectors` would).
-struct QrPanelOps {
     vt_p: PackedA,
     v_p: PackedA,
     t: Matrix,
 }
 
+impl TileTasks<f64> for QrTasks {
+    /// The panel's `tau`s, explicit reflectors `V` and compact-WY `T`.
+    type Factored = (Vec<f64>, Matrix, Matrix);
+    type Panel = QrPanel;
+    type Error = Infallible;
+
+    fn panel(
+        &self,
+        tile: &mut TileCols<'_>,
+        iter: usize,
+        hook: &dyn TrailingHook,
+    ) -> Option<Result<Self::Factored, Infallible>> {
+        let row0 = tile.col0;
+        panel_attempt(tile, iter, hook, |tile| Ok(factor_panel_tile(tile, row0)))
+    }
+
+    fn publish(&self, tile: &TileCols<'_>, (taus, v, t): Self::Factored) -> QrPanel {
+        let (row0, pw, m) = (tile.col0, tile.width(), tile.rows());
+        let (mut vt_p, mut v_p) = (PackedA::default(), PackedA::default());
+        repack_a_op(&mut vt_p, &v, Trans::Yes, 0, 0, pw, m - row0);
+        repack_a_op(&mut v_p, &v, Trans::No, 0, 0, m - row0, pw);
+        QrPanel { taus, vt_p, v_p, t }
+    }
+
+    fn update(
+        &self,
+        tile: &mut TileCols<'_>,
+        p: usize,
+        j0: usize,
+        nb: usize,
+        panel: &QrPanel,
+        hook: &dyn TrailingHook,
+    ) -> TileVerdict {
+        qr_update_tile(tile, p, j0, nb, &panel.vt_p, &panel.v_p, &panel.t, hook)
+    }
+}
+
+/// Householder QR's tile task graph (see [`crate::dag`]), one iteration at a time:
+/// the stepped driver, and the state [`qr_dag_with`] runs whole. Stepping through
+/// every iteration in order produces factors (`qr` storage and `tau`s)
+/// **bit-identical** to [`qr_blocked`] and [`qr_dag_with`] with the same block size,
+/// at any thread count; each step reports its measured [`StepTiming`].
+pub struct QrTiledStepper(TileGraph<f64, QrTasks>);
+
+impl QrTiledStepper {
+    /// Copy `a` and factor panel 0, the prologue every run pays before its first
+    /// trailing update.
+    pub fn new(a: &Matrix, block: usize) -> Self {
+        let label = format!("qr m={} n={} b={block}", a.rows(), a.cols());
+        let kmax = a.rows().min(a.cols());
+        let mut graph = TileGraph::new(QrTasks, a.clone(), kmax, block, label);
+        let Ok(()) = graph.prologue();
+        Self(graph)
+    }
+
+    /// Number of blocked iterations; [`Self::step`] must be called exactly once for
+    /// each `k` in `0..iterations()`, in order.
+    pub fn iterations(&self) -> usize {
+        self.0.iterations()
+    }
+
+    /// Measured duration of the panel-0 prologue factored by [`Self::new`].
+    pub fn prologue_panel_s(&self) -> f64 {
+        self.0.prologue_panel_s()
+    }
+
+    /// Run iteration `k`'s graph on the pool (its trailing tile updates and
+    /// lookahead panel `k + 1`) with `hook` fused into every trailing tile and panel
+    /// task.
+    pub fn step(&mut self, k: usize, hook: &dyn TrailingHook) -> StepTiming {
+        let Ok(timing) = self.0.step(k, hook);
+        timing
+    }
+
+    /// Package the factors after the final step.
+    pub fn into_factors(self) -> QrFactors {
+        let (qr, panels, _) = self.0.into_parts();
+        QrFactors { qr, taus: panels.flat_map(|p| p.taus).collect() }
+    }
+}
+
+impl FactorGraph for QrTiledStepper {
+    type Error = Infallible;
+
+    fn run(
+        &mut self,
+        iters: Range<usize>,
+        hook: &dyn TrailingHook,
+        exec: DagExecution,
+    ) -> Result<f64, Infallible> {
+        self.0.run(iters, hook, exec)
+    }
+
+    fn timing(&self) -> &DagTiming {
+        self.0.timing()
+    }
+
+    fn checkpoint(&self) -> Checkpoint {
+        self.0.checkpoint()
+    }
+
+    fn restore(&mut self, snap: &Checkpoint) {
+        self.0.restore(snap)
+    }
+}
+
 /// Dependency-driven DAG Householder QR with depth-unbounded panel lookahead.
 ///
-/// Same math, same bits as [`qr_blocked`] / [`qr_tiled`] with the same block size, at
-/// any thread count and under any task schedule; the per-iteration barrier is replaced
-/// by per-tile dependency counters (see [`crate::dag`]). On wide matrices
+/// Same math, same bits as [`qr_blocked`] with the same block size, at any thread
+/// count and under any task schedule; the per-iteration barrier is replaced by
+/// per-tile dependency counters (see [`crate::dag`]). On wide matrices
 /// (`n > min(m, n)`) the fixed column partition places a group boundary at
-/// `min(m, n)`, so panel groups are exactly panel-wide — numerically identical to the
-/// barrier path (trailing columns are independent through the compact-WY GEMMs).
+/// `min(m, n)`, so panel groups are exactly panel-wide, and the trailing-only groups
+/// past it take every iteration's update (trailing columns are independent through
+/// the compact-WY GEMMs).
 pub fn qr_dag(a: &Matrix, block: usize) -> QrFactors {
     qr_dag_with(a, block, &(), DagExecution::Pool).0
 }
 
 /// [`qr_dag`] with a [`TrailingHook`] fused into every trailing tile task and an
-/// explicit [`DagExecution`] mode; also returns the per-task measured [`DagTiming`].
+/// explicit [`DagExecution`] mode; also returns the per-task measured [`DagTiming`]:
+/// [`QrTiledStepper::new`], then every iteration as one graph.
 pub fn qr_dag_with(
     a: &Matrix,
     block: usize,
     hook: &dyn TrailingHook,
     exec: DagExecution,
 ) -> (QrFactors, DagTiming) {
-    assert!(block > 0, "block size must be positive");
-    let m = a.rows();
-    let n = a.cols();
-    let kmax = n.min(m);
-    let mut qr = a.clone();
-    let kpanels = kmax.div_ceil(block);
-    if n == 0 {
-        return (QrFactors { qr, taus: Vec::new() }, DagTiming::default());
-    }
-    let t0 = Instant::now();
-    let bounds = group_bounds(n, kmax, block);
-    let g = bounds.len();
-    let width_of = |p: usize| bounds.get(p + 1).copied().unwrap_or(n) - bounds[p];
-    // Group `grp`'s chain: Update(p, grp) for p < min(grp, K), then Panel(grp) when
-    // grp < K (K = number of panels; trailing-only groups of wide matrices have no
-    // panel task). Chain lengths vary, so ids are assigned in one pass and cross
-    // edges point at the already-assigned Panel(p) ids.
-    let mut builder = DagBuilder::new();
-    let mut task_of: Vec<(usize, usize)> = Vec::new();
-    let mut panel_ids = vec![0usize; kpanels];
-    for grp in 0..g {
-        let updates = grp.min(kpanels);
-        for (p, &panel_id) in panel_ids.iter().enumerate().take(updates) {
-            let id = builder.add_task();
-            task_of.push((grp, p));
-            if p > 0 {
-                builder.add_edge(id - 1, id);
-            }
-            builder.add_edge(panel_id, id);
-        }
-        if grp < kpanels {
-            let id = builder.add_task();
-            task_of.push((grp, grp));
-            if updates > 0 {
-                builder.add_edge(id - 1, id);
-            }
-            panel_ids[grp] = id;
-        }
-    }
-    let ops: Vec<OnceLock<QrPanelOps>> = (0..kpanels).map(|_| OnceLock::new()).collect();
-    let taus_slots: Vec<OnceLock<Vec<f64>>> = (0..kpanels).map(|_| OnceLock::new()).collect();
-    let panel_nanos: Vec<AtomicU64> = (0..kpanels).map(|_| AtomicU64::new(0)).collect();
-    let update_nanos: Vec<AtomicU64> = (0..kpanels).map(|_| AtomicU64::new(0)).collect();
-    let tiles: Vec<Mutex<TileCols<'_>>> =
-        split_tiles_at(&mut qr, &bounds).into_iter().map(Mutex::new).collect();
-    crate::dag::execute(builder, exec, &format!("qr m={m} n={n} b={block}"), |id| {
-        let (grp, p) = task_of[id];
-        let mut tile = tiles[grp].lock().unwrap();
-        let j0 = bounds[p];
-        let task_t0 = Instant::now();
-        if p == grp {
-            // Panel task; the partition clips panel groups at kmax, so the group
-            // width is exactly the panel width. Panel(grp) is iteration grp − 1's
-            // lookahead panel; the prologue panel (grp = 0) predates every
-            // iteration and is never offered to the hook — matching the stepped
-            // drivers.
-            let pw = tile.width();
-            let attempt = if grp > 0 {
-                qr_panel_attempt(&mut tile, grp - 1, j0, pw, hook)
-            } else {
-                Some(factor_panel_tile(&mut tile, j0, pw))
-            };
-            let Some(panel) = attempt else {
-                // Rolled back by the hook: resubmit the repair attempt without
-                // publishing operands or taus.
-                panel_nanos[grp].fetch_add(task_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                return TaskOutcome::Retry;
-            };
-            if grp + 1 < g {
-                // Publish the panel's own V in both packed orientations, plus its T.
-                let mut vt_p = PackedA::default();
-                let mut v_p = PackedA::default();
-                repack_a_op(&mut vt_p, &panel.v, Trans::Yes, 0, 0, pw, m - j0);
-                repack_a_op(&mut v_p, &panel.v, Trans::No, 0, 0, m - j0, pw);
-                assert!(ops[grp].set(QrPanelOps { vt_p, v_p, t: panel.t }).is_ok());
-            }
-            assert!(taus_slots[grp].set(panel.taus).is_ok());
-            panel_nanos[grp].fetch_add(task_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            TaskOutcome::Done
-        } else {
-            let op = ops[p].get().expect("Panel(p) publishes before its consumers");
-            let outcome = match qr_update_tile(
-                &mut tile,
-                p,
-                j0,
-                width_of(p),
-                &op.vt_p,
-                &op.v_p,
-                &op.t,
-                j0,
-                hook,
-            ) {
-                TileVerdict::Recompute => TaskOutcome::Retry,
-                TileVerdict::Accept => TaskOutcome::Done,
-            };
-            update_nanos[p].fetch_add(task_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            outcome
-        }
-    });
-    drop(tiles);
-    let mut taus = Vec::with_capacity(kmax);
-    for slot in taus_slots {
-        taus.extend(slot.into_inner().expect("every panel factored"));
-    }
-    let timing = DagTiming {
-        panel_s: panel_nanos.iter().map(|x| x.load(Ordering::Relaxed) as f64 * 1e-9).collect(),
-        update_s: update_nanos.iter().map(|x| x.load(Ordering::Relaxed) as f64 * 1e-9).collect(),
-        wall_s: t0.elapsed().as_secs_f64(),
-    };
-    (QrFactors { qr, taus }, timing)
+    let mut graph = QrTiledStepper::new(a, block);
+    let Ok(_) = graph.run(0..graph.iterations(), hook, exec);
+    let timing = graph.timing().clone();
+    (graph.into_factors(), timing)
 }
 
 #[cfg(test)]
@@ -1005,15 +763,19 @@ mod tests {
     }
 
     #[test]
-    fn tiled_is_bit_identical_to_blocked() {
+    fn stepped_is_bit_identical_to_blocked() {
         let mut rng = ChaCha8Rng::seed_from_u64(35);
         // Square, tall, and wide shapes, with tail panels and oversized blocks.
         for (m, n, b) in [(1, 1, 1), (16, 16, 8), (33, 33, 8), (40, 12, 5), (12, 30, 5), (24, 24, 64)] {
             let a = random_matrix(&mut rng, m, n);
             let sync = qr_blocked(&a, b);
-            let tiled = qr_tiled(&a, b);
-            assert_eq!(sync.taus, tiled.taus, "taus differ m={m} n={n} b={b}");
-            assert_eq!(sync.qr, tiled.qr, "factors differ m={m} n={n} b={b}");
+            let mut stepper = QrTiledStepper::new(&a, b);
+            for k in 0..stepper.iterations() {
+                stepper.step(k, &());
+            }
+            let stepped = stepper.into_factors();
+            assert_eq!(sync.taus, stepped.taus, "taus differ m={m} n={n} b={b}");
+            assert_eq!(sync.qr, stepped.qr, "factors differ m={m} n={n} b={b}");
         }
     }
 

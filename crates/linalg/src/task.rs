@@ -1,19 +1,20 @@
 //! Tile-column task machinery for the task-parallel factorization drivers.
 //!
-//! The tiled and DAG drivers (`lu::lu_tiled`, `cholesky::cholesky_dag_with`,
-//! `qr::qr_tiled`, …) decompose each iteration's trailing update into
-//! **per-tile-column tasks**: the trailing columns are partitioned into `block`-wide
-//! groups, every group becomes one task on the rayon pool, and the group feeding the
-//! next panel runs first so panel `k + 1` factorizes concurrently with the rest of
-//! trailing update `k` (the PLASMA/StarPU-style DAG view of the blocked algorithms).
+//! Every driver but `*_blocked` (the stepped `lu::LuTiledStepper` and the whole-run
+//! `cholesky::cholesky_dag_with`, …) runs each iteration's trailing update as
+//! **per-tile-column tasks**: the columns are partitioned into `block`-wide groups,
+//! every group's iteration-`k` update becomes one task on the rayon pool, and panel
+//! `k + 1` factorizes in its own group as soon as that group's update is done,
+//! concurrently with the rest of trailing update `k` (the PLASMA/StarPU-style DAG
+//! view of the blocked algorithms; see [`crate::dag`]).
 //!
 //! Disjointness is proved by the borrow checker rather than asserted at runtime: a
 //! column-major [`Matrix<E>`] splits into per-column `&mut [E]` slices
-//! ([`Matrix::columns_mut`]), the crate-internal `split_tiles` partitions those into
-//! `TileCols` groups, and each task takes ownership of exactly one group. Shared
+//! ([`Matrix::columns_mut`]), the crate-internal `split_tiles_at` partitions those
+//! into `TileCols` groups, and each task owns exactly one group while it runs. Shared
 //! operands (the panel's `L11`/`L21`/`A21`/`V`/`T` blocks) are copied or packed out
-//! *before* the task graph runs, so tasks only read immutable locals besides their
-//! own columns.
+//! by the panel task and published before any consumer runs, so tasks only read
+//! immutable operands besides their own columns.
 //!
 //! [`TrailingHook`] is the fusion point for ABFT: `bsr-abft` implements it to encode
 //! and verify checksums of each tile right inside the task that produced it, so
@@ -25,11 +26,11 @@
 use crate::elem::Element;
 use crate::matrix::Matrix;
 
-/// Measured wall-clock durations of one stepped tiled iteration (see the
-/// `*TiledStepper` types in [`crate::lu`], [`crate::cholesky`] and [`crate::qr`]).
+/// Measured wall-clock durations of one stepped iteration (see the `*TiledStepper`
+/// types in [`crate::lu`], [`crate::cholesky`] and [`crate::qr`]).
 ///
-/// `panel_s` is measured *inside* the lookahead task, so it overlaps `update_s`
-/// (the panel factorization rides the update region, it does not extend it): a
+/// `panel_s` is measured *inside* the lookahead panel task, so it overlaps `update_s`
+/// (the panel factorization rides the iteration's graph, it does not extend it): a
 /// two-stream timeline should place `panel_s` on the CPU stream concurrently with
 /// `update_s` on the accelerator stream, exactly the hybrid model of the paper's
 /// Figure 1b.
@@ -38,8 +39,9 @@ pub struct StepTiming {
     /// Duration of the lookahead panel factorization (panel `k + 1`), measured on
     /// whichever pool thread ran it. Zero when the iteration has no next panel.
     pub panel_s: f64,
-    /// Wall-clock duration of the whole trailing-update task region of the
-    /// iteration, including the lookahead panel and any fused [`TrailingHook`] work.
+    /// Wall-clock duration of the iteration's whole task graph, including the
+    /// lookahead panel and any fused [`TrailingHook`] work. Zero when the iteration
+    /// has no task.
     pub update_s: f64,
 }
 
@@ -58,7 +60,7 @@ pub enum TileVerdict {
     Recompute,
 }
 
-/// Observer fused into every trailing-update tile task of the tiled and DAG drivers,
+/// Observer fused into every trailing-update tile task of the factorization graphs,
 /// at whichever [`Element`] type the driver factors in (`TrailingHook` alone means
 /// `TrailingHook<f64>`).
 ///
@@ -173,6 +175,32 @@ pub(crate) fn restore_rows<E: Element>(cols: &mut [&mut [E]], row0: usize, snap:
     }
 }
 
+/// One lookahead-panel attempt on the panel held in `tile` (diagonal row
+/// `tile.col0`): snapshot its rows when the hook may demand a rollback, `factor` it in
+/// place, then offer it to the hook as iteration `iter`'s lookahead panel. `None` when
+/// the hook rolled the attempt back: the rows are restored, so the retry refactors
+/// from the identical state.
+pub(crate) fn panel_attempt<'a, E: Element, R, X>(
+    tile: &mut TileCols<'a, E>,
+    iter: usize,
+    hook: &dyn TrailingHook<E>,
+    factor: impl FnOnce(&mut TileCols<'a, E>) -> Result<R, X>,
+) -> Option<Result<R, X>> {
+    let row0 = tile.col0;
+    let snap = hook.wants_snapshots().then(|| snapshot_rows(&tile.cols, row0, tile.width()));
+    let factored = factor(tile);
+    if factored.is_ok()
+        && hook.after_panel_factor(iter, row0, row0, &mut tile.rows_from(row0))
+            == TileVerdict::Recompute
+    {
+        if let Some(snap) = &snap {
+            restore_rows(&mut tile.cols, row0, snap);
+            return None;
+        }
+    }
+    Some(factored)
+}
+
 /// Batch row interchanges (LAPACK `dlaswp`) over a set of column slices: for each
 /// `i`, swap row `row0 + i` with row `swaps[i]` in every column. Shared by the tile
 /// tasks and LU's deferred left-column swap task.
@@ -209,39 +237,9 @@ pub(crate) fn col_pair<'a, E: Element>(
     (&*left[jr], &mut *right[0])
 }
 
-/// Partition the columns of `a` for one task-graph iteration: columns `[0, keep)` are
-/// returned as individual slices (LU's deferred-swap region left of the panel),
-/// columns `[keep, start)` are dropped (the current panel, owned by no task), and
-/// columns `[start, a.cols())` become `block`-wide [`TileCols`] groups starting at
-/// `start` (so when `start` sits on a block boundary, the first group is exactly the
-/// next panel's tile).
-pub(crate) fn split_tiles<'a, E: Element>(
-    a: &'a mut Matrix<E>,
-    keep: usize,
-    start: usize,
-    block: usize,
-) -> (Vec<&'a mut [E]>, Vec<TileCols<'a, E>>) {
-    let n = a.cols();
-    debug_assert!(keep <= start && start <= n && block > 0);
-    let mut cols = a.columns_mut();
-    let mut rest = cols.split_off(start);
-    cols.truncate(keep);
-    let left = cols;
-    let mut tiles = Vec::with_capacity((n - start).div_ceil(block));
-    let mut col0 = start;
-    while !rest.is_empty() {
-        let w = block.min(n - col0).min(rest.len());
-        let tail = rest.split_off(w);
-        tiles.push(TileCols { col0, cols: rest });
-        rest = tail;
-        col0 += w;
-    }
-    (left, tiles)
-}
-
 /// Partition **all** columns of `a` into [`TileCols`] groups at a fixed, sorted
 /// boundary list: group `g` spans columns `[bounds[g], bounds[g + 1])` (the last
-/// group ends at `a.cols()`). The DAG drivers ([`crate::dag`]) use one whole-matrix
+/// group ends at `a.cols()`). The task graphs ([`crate::dag`]) use one whole-matrix
 /// partition for the entire factorization — the same groups serve as panel tiles and
 /// trailing tiles across every iteration, which is what lets a group carry a single
 /// dependency chain instead of being re-split per iteration.
@@ -271,31 +269,19 @@ mod tests {
     #[test]
     fn split_tiles_at_partitions_at_explicit_boundaries() {
         let mut m = Matrix::from_fn(3, 10, |i, j| (i + 10 * j) as f64);
-        let tiles = split_tiles_at(&mut m, &[0, 4, 6, 9]);
+        let mut tiles = split_tiles_at(&mut m, &[0, 4, 6, 9]);
         let spans: Vec<(usize, usize)> = tiles.iter().map(|t| (t.col0, t.width())).collect();
         assert_eq!(spans, vec![(0, 4), (4, 2), (6, 3), (9, 1)]);
-    }
-
-    #[test]
-    fn split_tiles_partitions_and_mutates_through() {
-        let mut m = Matrix::from_fn(4, 10, |i, j| (i + 10 * j) as f64);
-        {
-            let (left, mut tiles) = split_tiles(&mut m, 2, 4, 3);
-            assert_eq!(left.len(), 2);
-            let widths: Vec<usize> = tiles.iter().map(|t| t.width()).collect();
-            assert_eq!(widths, vec![3, 3]);
-            assert_eq!(tiles[0].col0, 4);
-            assert_eq!(tiles[1].col0, 7);
-            // Mutations land in the right place.
-            tiles[1].cols[0][2] = -1.0;
-        }
+        // Mutations land in the right place.
+        tiles[2].cols[1][2] = -1.0;
+        drop(tiles);
         assert_eq!(m.get(2, 7), -1.0);
     }
 
     #[test]
     fn extract_col_pair_and_swaps() {
         let mut m = Matrix::from_fn(6, 4, |i, j| (i * 100 + j) as f64);
-        let (_, mut tiles) = split_tiles(&mut m, 0, 0, 4);
+        let mut tiles = split_tiles_at(&mut m, &[0]);
         let tile = &mut tiles[0];
         let sub = tile.extract(2, 5);
         assert_eq!(sub.rows(), 3);

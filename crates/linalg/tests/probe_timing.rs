@@ -1,6 +1,7 @@
 //! Ad-hoc timing probe (ignored by default): `cargo test --release -p bsr-linalg
-//! --test probe_timing -- --ignored --nocapture` prints forkjoin vs tiled times per
-//! thread count for the developer tuning the task layer.
+//! --test probe_timing -- --ignored --nocapture` prints forkjoin vs stepped times per
+//! thread count for the developer tuning the task layer (the stepped drivers run one
+//! task graph per iteration).
 
 use bsr_linalg::generate::{random_matrix, random_spd_matrix};
 use bsr_linalg::{cholesky, lu, qr};
@@ -23,29 +24,37 @@ fn probe() {
             let _ = lu::lu_blocked(&a, b).unwrap();
             let sync_s = t0.elapsed().as_secs_f64();
             let t0 = Instant::now();
-            let _ = lu::lu_tiled(&a, b).unwrap();
-            let tiled_s = t0.elapsed().as_secs_f64();
-            println!("t={t} lu   sync {sync_s:.4} tiled {tiled_s:.4} ratio {:.3}", sync_s / tiled_s);
+            let mut s = lu::LuTiledStepper::new(&a, b).unwrap();
+            for k in 0..s.iterations() {
+                s.step(k, &()).unwrap();
+            }
+            let stepped_s = t0.elapsed().as_secs_f64();
+            println!("t={t} lu   sync {sync_s:.4} stepped {stepped_s:.4} ratio {:.3}", sync_s / stepped_s);
         }
         for _ in 0..2 {
             let mut w = spd.clone();
             let t0 = Instant::now();
             cholesky::cholesky_blocked(&mut w, b).unwrap();
             let sync_s = t0.elapsed().as_secs_f64();
-            let mut w = spd.clone();
             let t0 = Instant::now();
-            cholesky::cholesky_tiled(&mut w, b).unwrap();
-            let tiled_s = t0.elapsed().as_secs_f64();
-            println!("t={t} chol sync {sync_s:.4} tiled {tiled_s:.4} ratio {:.3}", sync_s / tiled_s);
+            let mut s = cholesky::CholeskyTiledStepper::new(spd.clone(), b).unwrap();
+            for k in 0..s.iterations() {
+                s.step(k, &()).unwrap();
+            }
+            let stepped_s = t0.elapsed().as_secs_f64();
+            println!("t={t} chol sync {sync_s:.4} stepped {stepped_s:.4} ratio {:.3}", sync_s / stepped_s);
         }
         for _ in 0..2 {
             let t0 = Instant::now();
             let _ = qr::qr_blocked(&a, b);
             let sync_s = t0.elapsed().as_secs_f64();
             let t0 = Instant::now();
-            let _ = qr::qr_tiled(&a, b);
-            let tiled_s = t0.elapsed().as_secs_f64();
-            println!("t={t} qr   sync {sync_s:.4} tiled {tiled_s:.4} ratio {:.3}", sync_s / tiled_s);
+            let mut s = qr::QrTiledStepper::new(&a, b);
+            for k in 0..s.iterations() {
+                s.step(k, &());
+            }
+            let stepped_s = t0.elapsed().as_secs_f64();
+            println!("t={t} qr   sync {sync_s:.4} stepped {stepped_s:.4} ratio {:.3}", sync_s / stepped_s);
         }
     }
 }

@@ -1,10 +1,9 @@
 //! Schedule-fuzzing determinism suite for the dependency-driven DAG runtime.
 //!
-//! The DAG drivers (`lu_dag` / `cholesky_dag` / `qr_dag`) replace the per-iteration
-//! barrier of the tiled steppers with per-tile dependency counters and
-//! depth-unbounded lookahead, so the *completion order* of tasks is entirely up to
-//! the scheduler. This suite pins two invariants over random shapes, block sizes and
-//! tail panels:
+//! The DAG drivers (`lu_dag` / `cholesky_dag` / `qr_dag`) run each factorization's
+//! task graph whole, with per-tile dependency counters and depth-unbounded
+//! lookahead, so the *completion order* of tasks is entirely up to the scheduler.
+//! This suite pins two invariants over random shapes, block sizes and tail panels:
 //!
 //! 1. **Bit-exactness under adversarial schedules.** Every run — pool execution at
 //!    `RAYON_NUM_THREADS ∈ {1, 2, 3, 4, 8}` *and* the deterministic replay executor
@@ -27,12 +26,18 @@
 //! through the DAG: planned faults strike mid-schedule, Full checksums correct them,
 //! and the corrected factors plus the injection/verification tallies must be
 //! identical across every schedule and thread count.
+//!
+//! The same graph also runs one iteration at a time (the steppers, the numeric
+//! engine's measured-feedback policy). The stepped-replay property pins that policy
+//! and its rollback: an iteration spoiled and then restored from a checkpoint must
+//! step on to factors bit-identical to the whole-run graph and the blocked driver.
 
 use bsr_abft::checksum::ChecksumScheme;
 use bsr_abft::fused::{FusedTileChecksums, PerIterationChecksums, PlannedFault};
-use bsr_linalg::dag::{last_run_stats, DagExecution, DagRunStats};
+use bsr_linalg::dag::{last_run_stats, DagExecution, DagRunStats, FactorGraph};
 use bsr_linalg::generate::{random_matrix, random_spd_matrix};
 use bsr_linalg::matrix::Matrix;
+use bsr_linalg::task::{TileVerdict, TrailingHook};
 use bsr_linalg::verify::{cholesky_residual, lu_residual};
 use bsr_linalg::{cholesky, lu, qr, Element};
 use hetero_sim::sdc::ErrorPattern;
@@ -40,6 +45,7 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::ThreadCountGuard;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// Thread counts the pool sweeps: 1 = inline, 3 = odd worker count, 8 =
@@ -237,7 +243,11 @@ proptest! {
     ) {
         let a = random_matrix(&mut ChaCha8Rng::seed_from_u64(seed), m, n);
         let sync = qr::qr_blocked(&a, block);
-        let tiled = qr::qr_tiled(&a, block);
+        let mut stepper = qr::QrTiledStepper::new(&a, block);
+        for k in 0..stepper.iterations() {
+            stepper.step(k, &());
+        }
+        let tiled = stepper.into_factors();
         prop_assert_eq!(&sync.taus, &tiled.taus, "tiled taus differ (m={} n={} b={})", m, n, block);
         prop_assert!(sync.qr == tiled.qr, "tiled QR factors differ (m={m} n={n} b={block})");
         for i in 0..REPLAY_SEEDS_PER_CASE {
@@ -358,5 +368,192 @@ proptest! {
                 other => prop_assert!(false, "outcome differs from baseline: {:?}", other),
             }
         }
+    }
+}
+
+/// A hook that spoils the iteration it rides: it bumps the first element of every
+/// tile it sees, asks for a recompute on its very first call (rolled back, since it
+/// opts into snapshots) and accepts the bumped tiles after that, so the iteration
+/// ends corrupted and its lookahead panel is published from corrupted data.
+struct Spoil(AtomicBool);
+
+impl<E: Element> TrailingHook<E> for Spoil {
+    fn after_tile_update(
+        &self,
+        _: usize,
+        _: usize,
+        _: usize,
+        cols: &mut [&mut [E]],
+    ) -> TileVerdict {
+        if let Some(x) = cols.first_mut().and_then(|c| c.first_mut()) {
+            *x = E::from_f64(x.to_f64() + 1.0);
+        }
+        if self.0.swap(true, Ordering::Relaxed) {
+            TileVerdict::Accept
+        } else {
+            TileVerdict::Recompute
+        }
+    }
+
+    fn wants_snapshots(&self) -> bool {
+        true
+    }
+}
+
+/// Step `graph` through its `iterations`, one graph each, with iteration `k` replayed:
+/// checkpoint before it, run it under [`Spoil`] and discard the result, restore, and
+/// run it again under the no-op hook. The restore must also unpublish the lookahead
+/// panel the spoiled attempt factored, or the re-run would publish it twice.
+fn step_with_replay<E: Element, G: FactorGraph<E>>(
+    graph: &mut G,
+    iterations: usize,
+    k: usize,
+) -> Result<(), G::Error> {
+    for i in 0..iterations {
+        if i == k {
+            let snap = graph.checkpoint();
+            let _ = graph.run(k..k + 1, &Spoil(AtomicBool::new(false)), DagExecution::Pool);
+            graph.restore(&snap);
+        }
+        graph.run(i..i + 1, &(), DagExecution::Pool)?;
+    }
+    Ok(())
+}
+
+/// The whole-run replay schedules each stepped result is held to.
+fn replays(seed: u64) -> impl Iterator<Item = (DagExecution, String)> {
+    (0..REPLAY_SEEDS_PER_CASE).map(move |i| {
+        let seed = seed.wrapping_add(i);
+        (DagExecution::Replay { seed }, format!("replay seed={seed}"))
+    })
+}
+
+/// LU stepped with iteration `k` (modulo the iteration count) replayed, held to the
+/// whole-run graph under every replay schedule.
+fn lu_stepped_matches_whole_run<E: Element>(
+    a: &Matrix<E>,
+    block: usize,
+    k: usize,
+    seed: u64,
+) -> lu::LuFactors<E> {
+    let mut stepper = lu::LuTiledStepper::new(a, block).unwrap();
+    let iterations = stepper.iterations();
+    step_with_replay(&mut stepper, iterations, k % iterations).unwrap();
+    let stepped = stepper.into_factors();
+    for (exec, label) in replays(seed) {
+        let (whole, _) = lu::lu_dag_with(a, block, &(), exec).unwrap();
+        prop_assert_eq!(&whole.pivots, &stepped.pivots, "lu<{}> pivots ({})", E::NAME, label);
+        prop_assert!(whole.lu == stepped.lu, "lu<{}> factors ({})", E::NAME, label);
+    }
+    stepped
+}
+
+/// [`lu_stepped_matches_whole_run`] for Cholesky.
+fn cholesky_stepped_matches_whole_run<E: Element>(
+    a0: &Matrix<E>,
+    block: usize,
+    k: usize,
+    seed: u64,
+) -> Matrix<E> {
+    let mut stepper = cholesky::CholeskyTiledStepper::new(a0.clone(), block).unwrap();
+    let iterations = stepper.iterations();
+    step_with_replay(&mut stepper, iterations, k % iterations).unwrap();
+    let stepped = stepper.into_matrix();
+    for (exec, label) in replays(seed) {
+        let mut whole = a0.clone();
+        cholesky::cholesky_dag_with(&mut whole, block, &(), exec).unwrap();
+        prop_assert!(whole == stepped, "cholesky<{}> factor ({})", E::NAME, label);
+    }
+    stepped
+}
+
+/// [`lu_stepped_matches_whole_run`] for QR.
+fn qr_stepped_matches_whole_run(a: &Matrix, block: usize, k: usize, seed: u64) -> qr::QrFactors {
+    let mut stepper = qr::QrTiledStepper::new(a, block);
+    let iterations = stepper.iterations();
+    step_with_replay(&mut stepper, iterations, k % iterations).unwrap();
+    let stepped = stepper.into_factors();
+    for (exec, label) in replays(seed) {
+        let (whole, _) = qr::qr_dag_with(a, block, &(), exec);
+        prop_assert_eq!(&whole.taus, &stepped.taus, "qr taus ({})", label);
+        prop_assert!(whole.qr == stepped.qr, "qr factors ({})", label);
+    }
+    stepped
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The per-iteration policy and its rollback: step to a random iteration,
+    /// checkpoint, spoil that iteration (one rolled-back attempt, then corrupted
+    /// tiles and a lookahead panel factored from them), restore, and step to the end.
+    /// The factors must be bit-identical to the whole-run graph and to the blocked
+    /// driver, at one thread and on a live pool: LU, Cholesky and QR (square, tall
+    /// and wide) at f64; LU and Cholesky at f32, where the whole-run graph is the
+    /// reference.
+    #[test]
+    fn stepped_replay_restores_and_matches_whole_run(
+        (block, iters, tail, seed) in (1usize..12, 2usize..5, 0usize..12, any::<u64>()),
+        (dm, dn, k) in (0usize..30, 0usize..30, any::<usize>()),
+    ) {
+        // At least two iterations everywhere, so the spoiled step has a lookahead
+        // panel to publish unless it is the last one.
+        let n = block * (iters - 1) + 1 + tail % block;
+        let (m, n_qr) = (block + 1 + dm, block + 1 + dn);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let a = random_matrix(&mut rng, n, n);
+        let spd = random_spd_matrix(&mut rng, n);
+        let aq = random_matrix(&mut rng, m, n_qr);
+        let lu_sync = lu::lu_blocked(&a, block).unwrap();
+        let mut chol_sync = spd.clone();
+        cholesky::cholesky_blocked(&mut chol_sync, block).unwrap();
+        let qr_sync = qr::qr_blocked(&aq, block);
+        for t in [1usize, 4] {
+            let label = format!("n={n} m={m} n_qr={n_qr} b={block} k={k} threads={t}");
+            let (a, spd, aq) = (a.clone(), spd.clone(), aq.clone());
+            let (lu_f, chol, qr_f) = with_watchdog(label.clone(), move || {
+                let _guard = ThreadCountGuard::set(t);
+                lu_stepped_matches_whole_run(&a.demote(), block, k, seed);
+                cholesky_stepped_matches_whole_run(&spd.demote(), block, k, seed);
+                (
+                    lu_stepped_matches_whole_run(&a, block, k, seed),
+                    cholesky_stepped_matches_whole_run(&spd, block, k, seed),
+                    qr_stepped_matches_whole_run(&aq, block, k, seed),
+                )
+            });
+            prop_assert_eq!(&lu_sync.pivots, &lu_f.pivots, "lu pivots vs blocked ({})", &label);
+            prop_assert!(lu_sync.lu == lu_f.lu, "lu factors vs blocked ({})", &label);
+            prop_assert!(chol_sync == chol, "cholesky factor vs blocked ({})", &label);
+            prop_assert_eq!(&qr_sync.taus, &qr_f.taus, "qr taus vs blocked ({})", &label);
+            prop_assert!(qr_sync.qr == qr_f.qr, "qr factors vs blocked ({})", &label);
+        }
+    }
+}
+
+/// A dead column in a later panel: the stepped driver (whose step before that panel
+/// fails when its lookahead meets the column), the whole-run graph under every replay
+/// schedule and the blocked driver all report the same `Singular(j)`.
+#[test]
+fn singular_column_in_a_later_panel_fails_alike_on_every_driver() {
+    let (n, block, dead) = (40, 8, 29);
+    let mut a = random_matrix(&mut ChaCha8Rng::seed_from_u64(91), n, n);
+    for i in 0..n {
+        a.set(i, dead, 0.0);
+    }
+    let want = lu::lu_blocked(&a, block).map(|f| f.pivots);
+    assert_eq!(want, Err(lu::LuError::Singular(dead)));
+    for t in [1, 4] {
+        let _guard = ThreadCountGuard::set(t);
+        let stepped = lu::LuTiledStepper::new(&a, block).and_then(|mut stepper| {
+            for k in 0..stepper.iterations() {
+                stepper.step(k, &())?;
+            }
+            Ok(stepper.into_factors().pivots)
+        });
+        assert_eq!(stepped, want, "stepped, threads={t}");
+    }
+    for (exec, label) in replays(7) {
+        let whole = lu::lu_dag_with(&a, block, &(), exec).map(|(f, _)| f.pivots);
+        assert_eq!(whole, want, "whole-run, {label}");
     }
 }

@@ -1,13 +1,15 @@
-//! Property suite for the tiled task-parallel factorizations with panel lookahead.
+//! Property suite for the stepped task-parallel factorizations with panel lookahead:
+//! each factorization's task graph run one iteration at a time
+//! (`LuTiledStepper` / `CholeskyTiledStepper` / `QrTiledStepper`).
 //!
 //! Two invariants, checked together over random shapes, block sizes and tail panels:
 //!
-//! 1. **Tiled == synchronous, bitwise.** `lu_tiled` / `cholesky_tiled` / `qr_tiled`
-//!    must reproduce the PR 3 synchronous drivers (`lu_blocked` / `cholesky_blocked` /
-//!    `qr_blocked`) *exactly* — same pivots/taus, same bits in every matrix element.
-//!    The tiled drivers decompose the trailing updates into per-tile-column tasks and
-//!    defer LU's out-of-panel row swaps, but per-element floating-point summation
-//!    order depends only on the `k` dimension, so no tolerance is needed.
+//! 1. **Stepped == synchronous, bitwise.** The stepped drivers must reproduce the
+//!    PR 3 synchronous drivers (`lu_blocked` / `cholesky_blocked` / `qr_blocked`)
+//!    *exactly* — same pivots/taus, same bits in every matrix element. The stepped
+//!    drivers decompose the trailing updates into per-tile-column tasks and defer
+//!    LU's out-of-panel row swaps, but per-element floating-point summation order
+//!    depends only on the `k` dimension, so no tolerance is needed.
 //! 2. **Thread-count invariance.** The same results must come out under
 //!    `RAYON_NUM_THREADS ∈ {1, 2, 3, 4, 8}`: the tile decomposition is fixed by the block
 //!    size (never by the thread count), and tasks write disjoint column groups, so
@@ -19,6 +21,7 @@
 //! path's.
 
 use bsr_linalg::generate::{random_matrix, random_spd_matrix};
+use bsr_linalg::matrix::Matrix;
 use bsr_linalg::{cholesky, lu, qr};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -35,6 +38,34 @@ const THREADS: [usize; 5] = [1, 2, 3, 4, 8];
 // advertised `{1, 2, 3, 4, 8}` sweep would not be guaranteed to execute at those counts.
 use rayon::ThreadCountGuard;
 
+/// The stepped LU driver: the prologue, then one task graph per iteration.
+fn lu_stepped(a: &Matrix, block: usize) -> Result<lu::LuFactors, lu::LuError> {
+    let mut stepper = lu::LuTiledStepper::new(a, block)?;
+    for k in 0..stepper.iterations() {
+        stepper.step(k, &())?;
+    }
+    Ok(stepper.into_factors())
+}
+
+/// The stepped Cholesky driver, in place on `a`.
+fn cholesky_stepped(a: &mut Matrix, block: usize) -> Result<(), cholesky::CholeskyError> {
+    let mut stepper = cholesky::CholeskyTiledStepper::new(a.clone(), block)?;
+    for k in 0..stepper.iterations() {
+        stepper.step(k, &())?;
+    }
+    *a = stepper.into_matrix();
+    Ok(())
+}
+
+/// The stepped QR driver.
+fn qr_stepped(a: &Matrix, block: usize) -> qr::QrFactors {
+    let mut stepper = qr::QrTiledStepper::new(a, block);
+    for k in 0..stepper.iterations() {
+        stepper.step(k, &());
+    }
+    stepper.into_factors()
+}
+
 /// `(n, block, seed)`: order, block size (including > n, = n, and tail-producing
 /// values), RNG seed.
 fn square_dims() -> impl Strategy<Value = (usize, usize, usize, u64)> {
@@ -45,7 +76,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(28))]
 
     #[test]
-    fn tiled_lu_matches_sync_at_all_thread_counts((n, block, extra, seed) in square_dims()) {
+    fn stepped_lu_matches_sync_at_all_thread_counts((n, block, extra, seed) in square_dims()) {
         // `extra` occasionally pushes the block past n to hit the single-panel path.
         let block = block + extra * n;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -53,7 +84,7 @@ proptest! {
         let sync = lu::lu_blocked(&a, block).unwrap();
         for t in THREADS {
             let _guard = ThreadCountGuard::set(t);
-            let tiled = lu::lu_tiled(&a, block).unwrap();
+            let tiled = lu_stepped(&a, block).unwrap();
             prop_assert_eq!(
                 &sync.pivots, &tiled.pivots,
                 "pivots differ (n={} block={} threads={})", n, block, t
@@ -66,7 +97,7 @@ proptest! {
     }
 
     #[test]
-    fn tiled_cholesky_matches_sync_at_all_thread_counts((n, block, extra, seed) in square_dims()) {
+    fn stepped_cholesky_matches_sync_at_all_thread_counts((n, block, extra, seed) in square_dims()) {
         let block = block + extra * n;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let a0 = random_spd_matrix(&mut rng, n);
@@ -75,7 +106,7 @@ proptest! {
         for t in THREADS {
             let _guard = ThreadCountGuard::set(t);
             let mut tiled = a0.clone();
-            cholesky::cholesky_tiled(&mut tiled, block).unwrap();
+            cholesky_stepped(&mut tiled, block).unwrap();
             prop_assert!(
                 sync == tiled,
                 "Cholesky factors not bit-identical (n={} block={} threads={})", n, block, t
@@ -84,7 +115,7 @@ proptest! {
     }
 
     #[test]
-    fn tiled_qr_matches_sync_at_all_thread_counts((m, n, block, seed) in (1usize..40, 1usize..40, 1usize..20, any::<u64>())) {
+    fn stepped_qr_matches_sync_at_all_thread_counts((m, n, block, seed) in (1usize..40, 1usize..40, 1usize..20, any::<u64>())) {
         // Independent m and n cover square, tall (panel-limited by columns) and wide
         // (trailing columns outliving the panels) shapes.
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -92,7 +123,7 @@ proptest! {
         let sync = qr::qr_blocked(&a, block);
         for t in THREADS {
             let _guard = ThreadCountGuard::set(t);
-            let tiled = qr::qr_tiled(&a, block);
+            let tiled = qr_stepped(&a, block);
             prop_assert_eq!(
                 &sync.taus, &tiled.taus,
                 "taus differ (m={} n={} block={} threads={})", m, n, block, t
@@ -105,7 +136,7 @@ proptest! {
     }
 
     #[test]
-    fn tiled_lu_singularity_agrees_with_sync((n, block, seed) in (2usize..24, 1usize..10, any::<u64>())) {
+    fn stepped_lu_singularity_agrees_with_sync((n, block, seed) in (2usize..24, 1usize..10, any::<u64>())) {
         // Zero out a column so both paths must hit the same singular pivot.
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut a = random_matrix(&mut rng, n, n);
@@ -116,7 +147,7 @@ proptest! {
         let sync = lu::lu_blocked(&a, block);
         for t in THREADS {
             let _guard = ThreadCountGuard::set(t);
-            let tiled = lu::lu_tiled(&a, block);
+            let tiled = lu_stepped(&a, block);
             match (&sync, &tiled) {
                 (Err(lu::LuError::Singular(js)), Err(lu::LuError::Singular(jt))) => {
                     prop_assert_eq!(js, jt, "singular column differs (n={} block={})", n, block);
@@ -130,13 +161,13 @@ proptest! {
 /// Larger smoke shapes (beyond the proptest size budget) where several iterations of
 /// lookahead chain together and the recursive LU panel's GEMM path engages.
 #[test]
-fn tiled_matches_sync_on_larger_shapes() {
+fn stepped_matches_sync_on_larger_shapes() {
     let mut rng = ChaCha8Rng::seed_from_u64(2025);
     for t in THREADS {
         let _guard = ThreadCountGuard::set(t);
         let a = random_matrix(&mut rng, 96, 96);
         let sync = lu::lu_blocked(&a, 24).unwrap();
-        let tiled = lu::lu_tiled(&a, 24).unwrap();
+        let tiled = lu_stepped(&a, 24).unwrap();
         assert_eq!(sync.pivots, tiled.pivots);
         assert_eq!(sync.lu, tiled.lu);
 
@@ -144,12 +175,12 @@ fn tiled_matches_sync_on_larger_shapes() {
         let mut sync = spd.clone();
         cholesky::cholesky_blocked(&mut sync, 24).unwrap();
         let mut tiled = spd.clone();
-        cholesky::cholesky_tiled(&mut tiled, 24).unwrap();
+        cholesky_stepped(&mut tiled, 24).unwrap();
         assert_eq!(sync, tiled);
 
         let a = random_matrix(&mut rng, 96, 96);
         let sync = qr::qr_blocked(&a, 24);
-        let tiled = qr::qr_tiled(&a, 24);
+        let tiled = qr_stepped(&a, 24);
         assert_eq!(sync.taus, tiled.taus);
         assert_eq!(sync.qr, tiled.qr);
     }
