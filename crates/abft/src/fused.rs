@@ -1,8 +1,8 @@
 //! Checksum maintenance fused into the tiled factorization task graphs.
 //!
-//! The numeric-mode protection pattern of `facto_perf`'s ABFT runs (re-encode + verify
-//! every trailing tile after each iteration's updates) ran as a **serial epilogue**
-//! between parallel regions. [`FusedTileChecksums`] moves that same workload *into*
+//! The numeric-mode protection pattern (re-encode + verify every trailing tile after
+//! each iteration's updates) used to run as a **serial epilogue** between parallel
+//! regions. [`FusedTileChecksums`] moves that same workload *into*
 //! the trailing-update tasks themselves: it implements
 //! [`bsr_linalg::task::TrailingHook`], so every per-tile-column task of the
 //! factorization graphs, stepped or run whole (`lu_dag_with` / `cholesky_dag_with` /

@@ -2,7 +2,7 @@
 //!
 //! Shared helpers for the benchmark harnesses that regenerate every table and figure of
 //! the paper's evaluation section. Each harness is a `harness = false` bench target, so
-//! `cargo bench --workspace` prints the same rows/series the paper reports:
+//! `cargo bench -p bsr-bench` prints the same rows/series the paper reports:
 //!
 //! | target | paper artifact |
 //! |---|---|
@@ -18,9 +18,9 @@
 //! | `fig13_size_sweep` | Figure 13 — LU energy saving across matrix sizes |
 //! | `abl_dvfs_latency` | ablation — sensitivity to the DVFS transition latency |
 //! | `abl_block_size` | ablation — sensitivity to the panel/block size |
-//! | `kernels` | criterion microbenchmarks of the numeric kernels |
-//! | `kernel_perf` | GFLOP/s sweep of the packed level-3 kernels → `BENCH_kernels.json` |
-//! | `reliability_perf` | chaos campaign for the SDC recovery pipeline → `BENCH_reliability.json` |
+//!
+//! Performance of the numeric stack is measured by the standalone repo benchmark
+//! (`benchmark/`), not here.
 
 #![deny(missing_docs)]
 
@@ -50,32 +50,6 @@ pub fn run_all_strategies(dec: Decomposition) -> Vec<(&'static str, RunReport)> 
             (name, bsr_core::analytic::run(cfg))
         })
         .collect()
-}
-
-/// The autotuned kernel parameters of both element types as a JSON object member
-/// (no trailing comma/newline): `"autotune": [{...f64...}, {...f32...}]`. Every
-/// `BENCH_*.json` writer embeds this so each recorded trajectory carries the
-/// (NC, KC, MC, parallel-dispatch) operating point it was measured under — numbers
-/// from a probed host and numbers from a `BSR_AUTOTUNE=0` CI run are then
-/// distinguishable after the fact. Forces resolution (probe or cache read) of both
-/// element types.
-pub fn autotune_json() -> String {
-    let rows: Vec<String> = bsr_linalg::tune::report_names()
-        .iter()
-        .zip(bsr_linalg::tune::report())
-        .map(|(name, p)| {
-            format!(
-                "    {{\"elem\":\"{name}\",\"nc\":{nc},\"kc\":{kc},\"mc\":{mc},\
-                 \"par_madds\":{pm},\"source\":\"{src}\"}}",
-                nc = p.nc,
-                kc = p.kc,
-                mc = p.mc,
-                pm = p.par_madds,
-                src = p.source
-            )
-        })
-        .collect();
-    format!("  \"autotune\": [\n{}\n  ]", rows.join(",\n"))
 }
 
 /// Print a section header so the combined `cargo bench` output stays navigable.

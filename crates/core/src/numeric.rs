@@ -835,14 +835,22 @@ mod tests {
 
     #[test]
     fn fault_free_numeric_runs_are_correct_for_all_decompositions() {
+        let strategies = [
+            Strategy::Original,
+            Strategy::RaceToHalt,
+            Strategy::SlackReclamation,
+            Strategy::Bsr(BsrConfig::with_ratio(0.25)),
+        ];
         for dec in Decomposition::ALL {
-            let cfg = small_cfg(dec, Strategy::Original).with_fault_injection(false);
-            let out = run_numeric(cfg).unwrap();
-            assert!(out.numerically_correct, "{dec:?} residual {res}", res = out.residual);
-            assert_eq!(out.faults_injected, 0);
-            assert_eq!(out.report.iterations.len(), 6);
-            assert_eq!(out.measured.len(), 6);
-            assert!(out.measured_makespan_s() > 0.0);
+            for strategy in strategies {
+                let cfg = small_cfg(dec, strategy).with_fault_injection(false);
+                let out = run_numeric(cfg).unwrap();
+                assert!(out.numerically_correct, "{dec:?} residual {res}", res = out.residual);
+                assert_eq!(out.faults_injected, 0);
+                assert_eq!(out.report.iterations.len(), 6);
+                assert_eq!(out.measured.len(), 6);
+                assert!(out.measured_makespan_s() > 0.0);
+            }
         }
     }
 
@@ -1018,35 +1026,43 @@ mod tests {
 
     #[test]
     fn mixed_precision_lu_refines_to_f64_accuracy() {
-        let cfg = small_cfg(Decomposition::Lu, Strategy::Original)
-            .with_fault_injection(false)
-            .with_precision(Precision::MixedF32);
-        let out = run_numeric(cfg).unwrap();
-        let mixed = out.mixed.expect("mixed runs must carry a refinement record");
-        assert!(
-            mixed.converged,
-            "refinement must reach f64 backward error (η {e:.3e} vs tol {t:.3e})",
-            e = mixed.backward_error,
-            t = mixed.tol
-        );
-        assert!(mixed.backward_error <= mixed.tol);
-        assert!(
-            mixed.refine_iters >= 1,
-            "f32 factors cannot hit f64 backward error without at least one sweep"
-        );
-        assert!(out.numerically_correct);
-        assert!(matches!(out.factors, NumericFactors::MixedLu(_)));
-        // The f32 factors themselves are only f32-accurate: the factorization
-        // residual must sit far above the f64 threshold, proving the refinement —
-        // not the factorization — is what earns correctness.
-        assert!(
-            out.residual > CORRECTNESS_THRESHOLD,
-            "f32 factor residual {res:.3e} is implausibly small",
-            res = out.residual
-        );
-        assert_eq!(out.measured.len(), 6);
-        assert!(out.measured.iter().all(|m| m.update_s > 0.0));
-        assert!(out.measured_makespan_s() > mixed.solve_seconds);
+        // Stock clocks under the adaptive scheme, and an overclocked BSR plan with
+        // checksums forced off: neither leans on ABFT to converge.
+        for (strategy, mode) in [
+            (Strategy::Original, AbftMode::Adaptive),
+            (Strategy::Bsr(BsrConfig::with_ratio(0.25)), AbftMode::Forced(ChecksumScheme::None)),
+        ] {
+            let cfg = small_cfg(Decomposition::Lu, strategy)
+                .with_abft_mode(mode)
+                .with_fault_injection(false)
+                .with_precision(Precision::MixedF32);
+            let out = run_numeric(cfg).unwrap();
+            let mixed = out.mixed.expect("mixed runs must carry a refinement record");
+            assert!(
+                mixed.converged,
+                "refinement must reach f64 backward error (η {e:.3e} vs tol {t:.3e})",
+                e = mixed.backward_error,
+                t = mixed.tol
+            );
+            assert!(mixed.backward_error <= mixed.tol);
+            assert!(
+                mixed.refine_iters >= 1,
+                "f32 factors cannot hit f64 backward error without at least one sweep"
+            );
+            assert!(out.numerically_correct);
+            assert!(matches!(out.factors, NumericFactors::MixedLu(_)));
+            // The f32 factors themselves are only f32-accurate: the factorization
+            // residual must sit far above the f64 threshold, proving the refinement —
+            // not the factorization — is what earns correctness.
+            assert!(
+                out.residual > CORRECTNESS_THRESHOLD,
+                "f32 factor residual {res:.3e} is implausibly small",
+                res = out.residual
+            );
+            assert_eq!(out.measured.len(), 6);
+            assert!(out.measured.iter().all(|m| m.update_s > 0.0));
+            assert!(out.measured_makespan_s() > mixed.solve_seconds);
+        }
     }
 
     #[test]

@@ -217,26 +217,6 @@ impl ServiceReport {
         if self.wall_s > 0.0 { self.outcomes.len() as f64 / self.wall_s } else { 0.0 }
     }
 
-    /// The `p`-th percentile (0–100) of job latency, seconds; `None` when no job
-    /// completed.
-    pub fn latency_percentile(&self, p: f64) -> Option<f64> {
-        if self.outcomes.is_empty() {
-            return None;
-        }
-        let mut lat: Vec<f64> = self.outcomes.iter().map(|o| o.latency_s).collect();
-        lat.sort_by(|a, b| a.total_cmp(b));
-        let rank = ((p / 100.0) * lat.len() as f64).ceil() as usize;
-        Some(lat[rank.clamp(1, lat.len()) - 1])
-    }
-
-    /// Mean analytic energy per completed job, joules.
-    pub fn mean_energy_per_job_j(&self) -> f64 {
-        if self.outcomes.is_empty() {
-            return 0.0;
-        }
-        self.outcomes.iter().map(|o| o.energy_j).sum::<f64>() / self.outcomes.len() as f64
-    }
-
     /// Jobs that ended in silent corruption — the zero-tolerance invariant.
     pub fn silent_corruptions(&self) -> usize {
         self.outcomes.iter().filter(|o| o.verdict == JobVerdict::SilentCorruption).count()
@@ -449,7 +429,6 @@ mod tests {
         assert_eq!(report.clean(), 6, "fault-free jobs must all be clean");
         assert_eq!(report.silent_corruptions(), 0);
         assert!(report.jobs_per_s() > 0.0);
-        assert!(report.latency_percentile(50.0).unwrap() <= report.latency_percentile(99.0).unwrap());
         for o in &report.outcomes {
             assert!(o.report.as_ref().is_some_and(|r| r.numerically_correct));
             assert!(o.latency_s >= o.run_s);

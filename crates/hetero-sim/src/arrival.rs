@@ -37,11 +37,6 @@ impl<R: Rng> PoissonArrivals<R> {
         PoissonArrivals { rng, rate_per_s, clock_s: 0.0 }
     }
 
-    /// Configured arrival rate (arrivals/second).
-    pub fn rate_per_s(&self) -> f64 {
-        self.rate_per_s
-    }
-
     /// Advance to the next arrival; returns its offset in seconds from process
     /// start. Offsets are nondecreasing.
     pub fn next_arrival_s(&mut self) -> f64 {

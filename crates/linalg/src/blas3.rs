@@ -71,15 +71,13 @@ const TRSM_NB: usize = 64;
 /// an operation, return how many worker threads its output should be split across.
 ///
 /// The vendored rayon pool keeps its workers parked between regions, so entering a
-/// parallel region costs single-digit microseconds (measured ≈ 2–4 µs for a 4-job
-/// region on the persistent pool — recorded as `pool_dispatch_us` in
-/// `BENCH_facto.json` — versus the tens of microseconds the old spawn-per-region shim
-/// paid). A region therefore pays off once it carries work an order of magnitude above
-/// the dispatch cost; the crossover madd count is resolved per (host, element type) by
-/// the [`crate::tune`] autotuner (compiled default `64 · 64 · 64 ≈ 262 k` madds ≈
-/// 0.5 MFLOP, ~50 µs at 10 GFLOP/s) — small per-tile-column GEMM tasks of the tiled
-/// factorizations split when the host has idle workers. Below it the caller gets
-/// `1` and stays on the calling thread.
+/// parallel region costs single-digit microseconds (the repo benchmark records it as
+/// `pool.dispatch_us`). A region therefore pays off once it carries work an order of
+/// magnitude above the dispatch cost: the crossover is the compiled
+/// [`KernelParams::par_madds`](crate::tune::KernelParams::par_madds)
+/// (`64 · 64 · 64 ≈ 262 k` madds ≈ 0.5 MFLOP, ~50 µs at 10 GFLOP/s) — small
+/// per-tile-column GEMM tasks of the tiled factorizations split when the host has idle
+/// workers. Below it the caller gets `1` and stays on the calling thread.
 /// Nested regions stay sequential: inside a pool task (a tile task of the tiled
 /// factorizations) the task graph above already saturates the workers, so an inner
 /// split would only add dispatch traffic and queue churn.
@@ -952,27 +950,6 @@ mod tests {
         assert!(c2.approx_eq(&naive_gemm(&a, &b), 1e-9));
     }
 
-    /// Restores the previous `RAYON_NUM_THREADS` even if the test body panics, so a
-    /// failure cannot leak a thread-count override into concurrently running tests.
-    struct ThreadCountGuard(Option<String>);
-
-    impl ThreadCountGuard {
-        fn set(n: &str) -> Self {
-            let prev = std::env::var("RAYON_NUM_THREADS").ok();
-            std::env::set_var("RAYON_NUM_THREADS", n);
-            ThreadCountGuard(prev)
-        }
-    }
-
-    impl Drop for ThreadCountGuard {
-        fn drop(&mut self) {
-            match &self.0 {
-                Some(prev) => std::env::set_var("RAYON_NUM_THREADS", prev),
-                None => std::env::remove_var("RAYON_NUM_THREADS"),
-            }
-        }
-    }
-
     #[test]
     fn gemm_multi_strip_parallel_split_matches_naive() {
         // Force several column strips through the thread pool regardless of the host's
@@ -982,11 +959,11 @@ mod tests {
         let a = random_matrix(&mut rng, 140, 130);
         let b = random_matrix(&mut rng, 130, 150);
         let c_par = {
-            let _guard = ThreadCountGuard::set("3");
+            let _guard = rayon::ThreadCountGuard::set(3);
             gemm(&a, Trans::No, &b, Trans::No)
         };
         let c_seq = {
-            let _guard = ThreadCountGuard::set("1");
+            let _guard = rayon::ThreadCountGuard::set(1);
             gemm(&a, Trans::No, &b, Trans::No)
         };
         assert!(c_par.approx_eq(&naive_gemm(&a, &b), 1e-9));

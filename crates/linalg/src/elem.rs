@@ -13,15 +13,13 @@
 //!   f32 at ~2× the FLOP rate, then let the f64 checksum/refinement layer restore f64
 //!   quality (see `bsr-core`'s `Precision::MixedF32`).
 //!
-//! Each element type carries its own micro-tile geometry (`MR`/`NR`), its own default
-//! cache-blocking parameters (starting points for the [`crate::tune`] autotuner), its
-//! own thread-local packing scratch, and its own cached autotune result.
+//! Each element type carries its own micro-tile geometry (`MR`/`NR`), its own
+//! cache-blocking parameters (reported by [`crate::tune`]) and its own thread-local
+//! packing scratch.
 
 use std::fmt::Debug;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use std::sync::OnceLock;
-
-use crate::tune::KernelParams;
 
 /// Upper bound of `MR * NR` over all element types; micro-kernel accumulators are
 /// fixed-size arrays of this length, sliced down to the type's real tile.
@@ -53,7 +51,7 @@ pub trait Element:
     const ZERO: Self;
     /// Multiplicative identity.
     const ONE: Self;
-    /// Short name used in cache files, bench JSON and error messages (`"f64"`/`"f32"`).
+    /// Short name used in operating-point records and error messages (`"f64"`/`"f32"`).
     const NAME: &'static str;
     /// Machine epsilon of the type, as `f64` (tolerance scaling).
     const EPSILON: f64;
@@ -61,7 +59,7 @@ pub trait Element:
     const MR: usize;
     /// Micro-kernel tile columns (columns of packed `op(B)` panels).
     const NR: usize;
-    /// Default inner-dimension block (autotuner starting point / `BSR_AUTOTUNE=0`).
+    /// Inner-dimension block of the packed kernels.
     const DEFAULT_KC: usize;
     /// Default row block, multiple of [`Element::MR`].
     const DEFAULT_MC: usize;
@@ -113,10 +111,6 @@ pub trait Element:
     /// mixed-precision runs do not thrash one shared buffer between layouts.
     #[doc(hidden)]
     fn with_pack_bufs<R>(f: impl FnOnce(&mut PackBufs<Self>) -> R) -> R;
-
-    /// Per-type cell caching the resolved autotune parameters for the process lifetime.
-    #[doc(hidden)]
-    fn params_cell() -> &'static OnceLock<KernelParams>;
 }
 
 /// Portable micro-kernel: plain nested loops over the packed panels. The loop bounds
@@ -265,11 +259,6 @@ impl Element for f64 {
             // thread): fall back to fresh buffers instead of aliasing the scratch.
             Err(_) => f(&mut PackBufs::default()),
         })
-    }
-
-    fn params_cell() -> &'static OnceLock<KernelParams> {
-        static CELL: OnceLock<KernelParams> = OnceLock::new();
-        &CELL
     }
 }
 
@@ -488,11 +477,6 @@ impl Element for f32 {
             Ok(mut bufs) => f(&mut bufs),
             Err(_) => f(&mut PackBufs::default()),
         })
-    }
-
-    fn params_cell() -> &'static OnceLock<KernelParams> {
-        static CELL: OnceLock<KernelParams> = OnceLock::new();
-        &CELL
     }
 }
 

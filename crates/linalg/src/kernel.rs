@@ -7,9 +7,8 @@
 //!   before any arithmetic, so the innermost loops never touch `Matrix::get` or the
 //!   transpose indirection — they stream two flat arrays;
 //! * the three blocking loops tile the problem as `NC × KC × MC`; the block sizes are
-//!   resolved per (host, element type) by the [`crate::tune`] autotuner (compiled
-//!   defaults under `BSR_AUTOTUNE=0`) so the active `A` block lives in L2 and the
-//!   active micro-panels live in L1;
+//!   compiled per element type ([`crate::tune`]) so the active `A` block lives in L2
+//!   and the active micro-panels live in L1;
 //! * an `MR × NR` register micro-kernel does all flops, selected at runtime per
 //!   element type: 8×4 in `ymm`/`zmm` pairs for `f64`, 16×4 (double the lanes per
 //!   vector) for `f32`; on AVX-512F hosts a paired-panel kernel drives two adjacent
@@ -158,7 +157,7 @@ impl<'a, E: Element> Operand<'a, E> {
 }
 
 /// Accumulate `alpha * A * B[:, j0 ..]` into one column strip of the output block,
-/// under the autotuned blocking for `E`.
+/// under the blocking for `E`.
 ///
 /// The effective `A` is the `m × k` block at the origin of the operand view `a`; the
 /// effective `B` is `k` rows deep from the origin of `b`, its columns starting `j0`
@@ -178,27 +177,11 @@ pub(crate) fn gemm_strip<E: Element>(
     cols: &mut [&mut [E]],
     mask_lower: bool,
 ) {
-    gemm_strip_with(tune::params::<E>(), alpha, a, b, m, k, j0, cols, mask_lower);
-}
-
-/// [`gemm_strip`] under explicit blocking parameters. The autotuner's probe loop calls
-/// this directly (it must not consult [`tune::params`] while initializing it).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_strip_with<E: Element>(
-    p: &KernelParams,
-    alpha: E,
-    a: Operand<'_, E>,
-    b: Operand<'_, E>,
-    m: usize,
-    k: usize,
-    j0: usize,
-    cols: &mut [&mut [E]],
-    mask_lower: bool,
-) {
     let w = cols.len();
     if w == 0 || m == 0 || k == 0 || alpha == E::ZERO {
         return;
     }
+    let p = tune::params::<E>();
     let kc_max = p.kc.min(k);
     let mc_max = p.mc.min(m.next_multiple_of(E::MR));
     let nc_max = p.nc.min(w.next_multiple_of(E::NR));
@@ -334,9 +317,7 @@ fn write_back<E: Element>(
 }
 
 /// One packed `KC`-chunk of a [`PackedA`]: its inner-dimension extent, its op-row
-/// offset within the packed block, and its offset into the shared buffer. Chunk
-/// extents are decided at `repack` time from the then-current autotuned `kc`, so
-/// consumers must use these recorded offsets rather than re-deriving them.
+/// offset within the packed block, and its offset into the shared buffer.
 #[derive(Clone, Copy)]
 struct PackedChunk {
     kc: usize,
@@ -502,10 +483,7 @@ mod tests {
     #[test]
     fn prepacked_matches_fresh_packing_across_chunks() {
         fn check<E: Element>(tol: f64) {
-            // k spans multiple packed chunks regardless of the tuned kc (kc is capped
-            // at 2^14 by the sanitizer, but use a k big enough for the *default* kc of
-            // both types at least when running under BSR_AUTOTUNE=0; the correctness
-            // claim holds for any chunking since the offsets come from the chunks).
+            // k spans several packed KC chunks of either type, with a ragged last one.
             let (m, k, w) = (2 * E::MR + 3, 700, 9);
             let a = Matrix::<E>::from_fn(m, k, |i, j| E::from_f64(((i * 7 + j * 3) % 17) as f64 - 8.0));
             let b = Matrix::<E>::from_fn(k, w, |i, j| E::from_f64(((i * 5 + j * 11) % 13) as f64 - 6.0));

@@ -31,9 +31,8 @@
 //! * [`elem`] — the [`Element`] abstraction the packed kernel core is generic over
 //!   (`f64` and `f32`, each with its own AVX2/AVX-512 micro-kernels; the f32 tile packs
 //!   twice the rows per vector register),
-//! * [`tune`] — the startup autotuner that picks cache-blocking parameters (`NC`, `KC`,
-//!   `MC`) and the pool-dispatch crossover per (host, element type), cached under
-//!   `target/` and disabled with `BSR_AUTOTUNE=0` for bit-reproducible runs,
+//! * [`tune`] — the compiled cache-blocking parameters (`NC`, `KC`, `MC`) and
+//!   pool-dispatch crossover of each element type,
 //! * [`lowprec`] — the `f32` names of the generic DAG drivers (no code of its own),
 //! * [`solve`] — triangular-solve front-ends (`lu_solve` / `cholesky_solve`) shared by
 //!   the f64 and mixed-precision drivers,
@@ -42,7 +41,7 @@
 //!
 //! Paper-scale runs (n = 30720) still use the analytic performance model in `bsr-core`,
 //! but the numeric-mode experiments run on these real kernels — their throughput is
-//! tracked by the `kernel_perf` bench target in `bsr-bench`.
+//! tracked by the repo benchmark's per-layer metrics (`benchmark/`).
 
 #![deny(missing_docs)]
 

@@ -9,6 +9,7 @@ use bsr_linalg::blas3::{
 };
 use bsr_linalg::generate::random_matrix;
 use bsr_linalg::matrix::{Block, Matrix};
+use bsr_linalg::Element;
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -39,6 +40,13 @@ fn trans_of(flag: bool) -> Trans {
     }
 }
 
+/// An `(m, k, n)` that crosses `E`'s compiled blocking with ragged tails: `k` spans
+/// three `KC` chunks (the last one partial) and `m` two `MC` blocks (the last one not a
+/// multiple of `MR`).
+fn production_blocking_shape<E: Element>(n: usize) -> (usize, usize, usize) {
+    (E::DEFAULT_MC + E::MR / 2 + 1, 2 * E::DEFAULT_KC + 7, n)
+}
+
 /// Store an `m × k` op-operand: when `trans` the stored matrix is the transpose.
 fn stored_operand(rng: &mut ChaCha8Rng, trans: Trans, rows: usize, cols: usize) -> Matrix {
     match trans {
@@ -51,11 +59,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     // Shapes span tile tails (MR = 8 / NR = 4 non-multiples) and k crosses the KC = 256
-    // packing boundary; the output lands in an offset block of a larger C whose
-    // surroundings must stay untouched.
+    // packing boundary; one case in eight crosses several KC and MC blocks at once. The
+    // output lands in an offset block of a larger C whose surroundings must stay
+    // untouched.
     #[test]
     fn gemm_matches_naive_reference(
-        (m, k, n) in (1usize..34, 1usize..300, 1usize..30),
+        (m, k, n) in (0u8..8, 1usize..34, 1usize..300, 1usize..30).prop_map(|(pick, m, k, n)| {
+            if pick == 0 { production_blocking_shape::<f64>(n) } else { (m, k, n) }
+        }),
         (ta_flag, tb_flag) in (any::<bool>(), any::<bool>()),
         (row_off, col_off) in (0usize..5, 0usize..5),
         seed in any::<u64>(),

@@ -14,6 +14,7 @@ use bsr_linalg::blas3::{
 };
 use bsr_linalg::generate::random_matrix;
 use bsr_linalg::matrix::{Block, Matrix};
+use bsr_linalg::Element;
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -52,6 +53,13 @@ fn trans_of(flag: bool) -> Trans {
     }
 }
 
+/// An `(m, k, n)` that crosses `E`'s compiled blocking with ragged tails: `k` spans
+/// three `KC` chunks (the last one partial) and `m` two `MC` blocks (the last one not a
+/// multiple of `MR`).
+fn production_blocking_shape<E: Element>(n: usize) -> (usize, usize, usize) {
+    (E::DEFAULT_MC + E::MR / 2 + 1, 2 * E::DEFAULT_KC + 7, n)
+}
+
 /// Store an `rows × cols` op-operand in f32: when `trans` the stored matrix is the
 /// transpose.
 fn stored_operand(rng: &mut ChaCha8Rng, trans: Trans, rows: usize, cols: usize) -> Matrix<f32> {
@@ -65,11 +73,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     // Shapes span the f32 micro-tile tails (MR = 16 / NR = 4 non-multiples) and k
-    // crosses the KC = 512 packing boundary; the output lands in an offset block of a
-    // larger C whose surroundings must stay untouched bit-for-bit.
+    // crosses the KC = 512 packing boundary; one case in eight crosses several KC and MC
+    // blocks at once. The output lands in an offset block of a larger C whose
+    // surroundings must stay untouched bit-for-bit.
     #[test]
     fn f32_gemm_matches_scalar_reference(
-        (m, k, n) in (1usize..50, 1usize..560, 1usize..30),
+        (m, k, n) in (0u8..8, 1usize..50, 1usize..560, 1usize..30).prop_map(|(pick, m, k, n)| {
+            if pick == 0 { production_blocking_shape::<f32>(n) } else { (m, k, n) }
+        }),
         (ta_flag, tb_flag) in (any::<bool>(), any::<bool>()),
         (row_off, col_off) in (0usize..5, 0usize..5),
         seed in any::<u64>(),
