@@ -3,7 +3,8 @@
 //! All three kernels ride the packed, cache-blocked GEMM core in `crate::kernel`:
 //! operand panels are packed into contiguous zero-padded buffers (no `Matrix::get` or
 //! transpose indirection in the hot loops), tiled `NC × KC × MC` to fit L1/L2, and
-//! executed by an `8 × 4` register micro-kernel (AVX2+FMA when available). TRSM is
+//! executed by an `MR × 8` register micro-kernel (`8 × 8` f64, `16 × 8` f32; AVX-512F or
+//! AVX2+FMA when available, with full paired tiles added into `C` from registers). TRSM is
 //! blocked along the triangular diagonal so everything outside the small diagonal
 //! solves is expressed as GEMM; SYRK shares the core with a lower-triangle mask.
 //!

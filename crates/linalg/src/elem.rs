@@ -4,14 +4,22 @@
 //! [`crate::blas3`] are generic over the scalar type through this trait. Two element
 //! types are supported:
 //!
-//! * **`f64`** — the default everywhere; the original 8×4 micro-kernel (one `ymm` pair
-//!   per panel on AVX2+FMA, paired 8-row panels in `zmm` registers on AVX-512F).
-//! * **`f32`** — double the lanes per vector, so the micro-tile widens to 16×4: on
-//!   AVX2+FMA one panel is two `ymm` loads, on AVX-512F one panel is exactly one `zmm`
-//!   load and the paired-panel kernel drives a 32×4 virtual tile from 8 `zmm`
-//!   accumulators. This is the raw-speed half of the mixed-precision mode: factor in
-//!   f32 at ~2× the FLOP rate, then let the f64 checksum/refinement layer restore f64
-//!   quality (see `bsr-core`'s `Precision::MixedF32`).
+//! * **`f64`** — the default everywhere; an 8×8 micro-tile (one 8-row packed panel is
+//!   one `zmm`, or two `ymm`, per k step; the packed `op(B)` panel is 8 columns wide).
+//! * **`f32`** — double the lanes per vector, so the micro-tile widens to 16×8 with the
+//!   same register budget. This is the raw-speed half of the mixed-precision mode:
+//!   factor in f32 at ~2× the FLOP rate, then let the f64 checksum/refinement layer
+//!   restore f64 quality (see `bsr-core`'s `Precision::MixedF32`).
+//!
+//! On AVX-512F hosts the core pairs adjacent row panels into one 16×8 (f64) / 32×8
+//! (f32) register tile: 16 `zmm` accumulators, 2 panel loads per 16 FMAs, and full
+//! tiles add `alpha · tile` into `C` straight from registers
+//! ([`Element::micro_kernel_x2_fused`]). The odd panel left over runs a single-panel
+//! `zmm` kernel. On AVX2+FMA hosts each panel runs as two 4-column halves of 8 `ymm`
+//! accumulators (16 `ymm` registers cannot hold a whole 8-column tile). Every backend
+//! accumulates each output element's own FMA chain in `k` order, so all of them agree
+//! bit for bit; the portable fallback rounds `a·b + c` twice and differs in the last
+//! bits.
 //!
 //! Each element type carries its own micro-tile geometry (`MR`/`NR`), its own
 //! cache-blocking parameters (reported by [`crate::tune`]) and its own thread-local
@@ -23,7 +31,7 @@ use std::sync::OnceLock;
 
 /// Upper bound of `MR * NR` over all element types; micro-kernel accumulators are
 /// fixed-size arrays of this length, sliced down to the type's real tile.
-pub(crate) const MAX_TILE: usize = 64;
+pub(crate) const MAX_TILE: usize = 128;
 
 /// Scalar type the packed level-3 kernels operate on. Implemented for `f64` and `f32`;
 /// sealed in practice by the micro-kernel plumbing (the associated items reference
@@ -90,13 +98,13 @@ pub trait Element:
     /// single-panel SIMD kernel the host supports.
     fn micro_kernel(kc: usize, ap: &[Self], bp: &[Self], acc: &mut [Self]);
 
-    /// True when [`Element::micro_kernel_x2`] should be used for adjacent panel pairs
-    /// (AVX-512F hosts, where the paired kernel saturates dual 512-bit FMA units).
+    /// True when [`Element::micro_kernel_x2`] / [`Element::micro_kernel_x2_fused`]
+    /// should be used for adjacent panel pairs (AVX-512F hosts).
     fn pair_panels() -> bool;
 
     /// Paired-panel micro-kernel: like two [`Element::micro_kernel`] calls sharing one
-    /// `op(B)` panel, with enough independent FMA chains to fill wide cores. Only
-    /// called when [`Element::pair_panels`] returns true.
+    /// `op(B)` panel, with 16 independent FMA chains per k step. Only called when
+    /// [`Element::pair_panels`] returns true.
     fn micro_kernel_x2(
         kc: usize,
         ap0: &[Self],
@@ -104,6 +112,22 @@ pub trait Element:
         bp: &[Self],
         acc0: &mut [Self],
         acc1: &mut [Self],
+    );
+
+    /// [`Element::micro_kernel_x2`] with the write-back fused in: the `C` tile is
+    /// prefetched before the k loop, and `c[j][row0 + i] += alpha · tile[i, j]` is
+    /// applied to rows `row0 .. row0 + 2·MR` of the `NR` column slices `c` straight
+    /// from registers. Each element is one multiply and then one add (no FMA), the
+    /// two roundings of the scalar write-back, so the bits match it for every `alpha`.
+    /// Only called when [`Element::pair_panels`] returns true.
+    fn micro_kernel_x2_fused(
+        kc: usize,
+        ap0: &[Self],
+        ap1: &[Self],
+        bp: &[Self],
+        alpha: Self,
+        c: &mut [&mut [Self]],
+        row0: usize,
     );
 
     /// Run `f` against this thread's packing scratch for the type (grown on demand,
@@ -167,6 +191,308 @@ pub(crate) fn avx512_available() -> bool {
     false
 }
 
+/// The four micro-kernel methods of an [`Element`] impl: runtime dispatch to the
+/// type's x86 kernels in `x86::$m`, with the scalar kernel as the portable fallback.
+/// Every length the SIMD kernels rely on is asserted here, in safe code.
+macro_rules! kernel_methods {
+    ($t:ty, $m:ident) => {
+        #[inline]
+        fn micro_kernel(kc: usize, ap: &[$t], bp: &[$t], acc: &mut [$t]) {
+            let (mr, nr) = (<$t as Element>::MR, <$t as Element>::NR);
+            assert!(ap.len() >= kc * mr && bp.len() >= kc * nr && acc.len() >= mr * nr);
+            #[cfg(target_arch = "x86_64")]
+            {
+                if avx512_available() {
+                    // SAFETY: AVX-512F presence was checked at runtime; the panel and
+                    // accumulator lengths are asserted above.
+                    unsafe { x86::$m::zmm_single(kc, ap, bp, acc) };
+                    return;
+                }
+                if avx2_fma_available() {
+                    // SAFETY: AVX2 + FMA presence was checked at runtime; lengths are
+                    // asserted above and both half offsets are at most NR - 4.
+                    unsafe {
+                        x86::$m::avx2_half(kc, ap, bp, acc, 0);
+                        x86::$m::avx2_half(kc, ap, bp, acc, 4);
+                    }
+                    return;
+                }
+            }
+            micro_kernel_scalar::<$t>(kc, ap, bp, acc);
+        }
+
+        #[inline]
+        fn pair_panels() -> bool {
+            avx512_available()
+        }
+
+        #[inline]
+        fn micro_kernel_x2(
+            kc: usize,
+            ap0: &[$t],
+            ap1: &[$t],
+            bp: &[$t],
+            acc0: &mut [$t],
+            acc1: &mut [$t],
+        ) {
+            let (mr, nr) = (<$t as Element>::MR, <$t as Element>::NR);
+            assert!(ap0.len() >= kc * mr && ap1.len() >= kc * mr && bp.len() >= kc * nr);
+            assert!(acc0.len() >= mr * nr && acc1.len() >= mr * nr);
+            #[cfg(target_arch = "x86_64")]
+            if avx512_available() {
+                // SAFETY: AVX-512F presence was checked at runtime; lengths asserted above.
+                unsafe { x86::$m::zmm_pair(kc, ap0, ap1, bp, acc0, acc1) };
+                return;
+            }
+            Self::micro_kernel(kc, ap0, bp, acc0);
+            Self::micro_kernel(kc, ap1, bp, acc1);
+        }
+
+        #[inline]
+        fn micro_kernel_x2_fused(
+            kc: usize,
+            ap0: &[$t],
+            ap1: &[$t],
+            bp: &[$t],
+            alpha: $t,
+            c: &mut [&mut [$t]],
+            row0: usize,
+        ) {
+            let (mr, nr) = (<$t as Element>::MR, <$t as Element>::NR);
+            assert!(ap0.len() >= kc * mr && ap1.len() >= kc * mr && bp.len() >= kc * nr);
+            assert!(c.len() == nr && c.iter().all(|col| col.len() >= row0 + 2 * mr));
+            #[cfg(target_arch = "x86_64")]
+            if avx512_available() {
+                // SAFETY: AVX-512F presence was checked at runtime; the panel lengths,
+                // the column count and every column's row range are asserted above.
+                unsafe { x86::$m::zmm_pair_fused(kc, ap0, ap1, bp, alpha, c, row0) };
+                return;
+            }
+            let (mut acc0, mut acc1) = ([0.0; MAX_TILE], [0.0; MAX_TILE]);
+            Self::micro_kernel_x2(kc, ap0, ap1, bp, &mut acc0, &mut acc1);
+            for (j, col) in c.iter_mut().enumerate() {
+                let tile = acc0[j * mr..(j + 1) * mr].iter().chain(&acc1[j * mr..(j + 1) * mr]);
+                for (d, &s) in col[row0..row0 + 2 * mr].iter_mut().zip(tile) {
+                    *d += alpha * s;
+                }
+            }
+        }
+    };
+}
+
+/// x86-64 SIMD micro-kernels, generated once per element type by `x86_kernels!` into
+/// `x86::f64k` and `x86::f32k`. `$l` is the type's `zmm` lane count, which is also its
+/// `MR`; `NR` is 8 for both types.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    macro_rules! x86_kernels {
+        (
+            $m:ident, $t:ty, $l:literal,
+            ymm: $ymm_zero:ident, $ymm_load:ident, $ymm_store:ident, $ymm_set1:ident,
+                 $ymm_fma:ident;
+            zmm: $zmm:ty, $zmm_zero:ident, $zmm_load:ident, $zmm_store:ident, $zmm_set1:ident,
+                 $zmm_fma:ident, $zmm_mul:ident, $zmm_add:ident;
+        ) => {
+            pub(super) mod $m {
+                use std::arch::x86_64::*;
+
+                /// Rows of one packed `A` panel (one `zmm`).
+                const MR: usize = $l;
+                /// Columns of one packed `B` panel.
+                const NR: usize = 8;
+                /// Lanes of one `ymm`.
+                const YL: usize = $l / 2;
+
+                /// AVX2 + FMA: columns `j0 .. j0 + 4` of the `MR × NR` tile, written to
+                /// the same columns of `acc` (column stride `MR`). The 4-column half
+                /// lives in 8 `ymm` accumulators (two per column), with 2 panel loads
+                /// + 4 broadcasts + 8 FMAs per k step; two calls cover the tile.
+                ///
+                /// # Safety
+                /// AVX2 and FMA must be available; `ap`/`bp`/`acc` must hold at least
+                /// `kc * MR` / `kc * NR` / `MR * NR` elements and `j0 <= NR - 4`.
+                #[target_feature(enable = "avx2", enable = "fma")]
+                pub(in crate::elem) unsafe fn avx2_half(
+                    kc: usize,
+                    ap: &[$t],
+                    bp: &[$t],
+                    acc: &mut [$t],
+                    j0: usize,
+                ) {
+                    unsafe {
+                        let mut c = [[$ymm_zero(); 2]; 4];
+                        let (mut pa, mut pb) = (ap.as_ptr(), bp.as_ptr().add(j0));
+                        for _ in 0..kc {
+                            let a0 = $ymm_load(pa);
+                            let a1 = $ymm_load(pa.add(YL));
+                            for (j, cj) in c.iter_mut().enumerate() {
+                                let b = $ymm_set1(*pb.add(j));
+                                cj[0] = $ymm_fma(a0, b, cj[0]);
+                                cj[1] = $ymm_fma(a1, b, cj[1]);
+                            }
+                            pa = pa.add(MR);
+                            pb = pb.add(NR);
+                        }
+                        let q = acc.as_mut_ptr().add(j0 * MR);
+                        for (j, cj) in c.iter().enumerate() {
+                            $ymm_store(q.add(j * MR), cj[0]);
+                            $ymm_store(q.add(j * MR + YL), cj[1]);
+                        }
+                    }
+                }
+
+                /// AVX-512F single panel: the `MR × NR` tile in 8 `zmm` accumulators,
+                /// 1 panel load + 8 broadcasts + 8 FMAs per k step. Runs the odd panel
+                /// a paired sweep leaves over.
+                ///
+                /// # Safety
+                /// AVX-512F must be available; `ap`/`bp`/`acc` must hold at least
+                /// `kc * MR` / `kc * NR` / `MR * NR` elements.
+                #[target_feature(enable = "avx512f")]
+                pub(in crate::elem) unsafe fn zmm_single(
+                    kc: usize,
+                    ap: &[$t],
+                    bp: &[$t],
+                    acc: &mut [$t],
+                ) {
+                    unsafe {
+                        let mut c = [$zmm_zero(); NR];
+                        let (mut pa, mut pb) = (ap.as_ptr(), bp.as_ptr());
+                        for _ in 0..kc {
+                            let a = $zmm_load(pa);
+                            for (j, cj) in c.iter_mut().enumerate() {
+                                *cj = $zmm_fma(a, $zmm_set1(*pb.add(j)), *cj);
+                            }
+                            pa = pa.add(MR);
+                            pb = pb.add(NR);
+                        }
+                        let q = acc.as_mut_ptr();
+                        for (j, cj) in c.iter().enumerate() {
+                            $zmm_store(q.add(j * MR), *cj);
+                        }
+                    }
+                }
+
+                /// AVX-512F over two adjacent packed panels sharing one `B` panel: the
+                /// `2·MR × NR` tile in 16 `zmm` accumulators (`[panel][column]`), with
+                /// 2 panel loads + 8 broadcasts + 16 FMAs per k step — enough
+                /// independent chains to cover the FMA latency on both 512-bit ports
+                /// while loading half the `A` bytes per FMA of an `NR = 4` tile.
+                ///
+                /// # Safety
+                /// AVX-512F must be available; `ap0`/`ap1` must hold at least
+                /// `kc * MR` elements and `bp` at least `kc * NR`.
+                #[inline]
+                #[target_feature(enable = "avx512f")]
+                unsafe fn pair_tile(
+                    kc: usize,
+                    ap0: &[$t],
+                    ap1: &[$t],
+                    bp: &[$t],
+                ) -> [[$zmm; NR]; 2] {
+                    unsafe {
+                        let mut c = [[$zmm_zero(); NR]; 2];
+                        let (mut p0, mut p1) = (ap0.as_ptr(), ap1.as_ptr());
+                        let mut pb = bp.as_ptr();
+                        for _ in 0..kc {
+                            let a0 = $zmm_load(p0);
+                            let a1 = $zmm_load(p1);
+                            for j in 0..NR {
+                                let b = $zmm_set1(*pb.add(j));
+                                c[0][j] = $zmm_fma(a0, b, c[0][j]);
+                                c[1][j] = $zmm_fma(a1, b, c[1][j]);
+                            }
+                            p0 = p0.add(MR);
+                            p1 = p1.add(MR);
+                            pb = pb.add(NR);
+                        }
+                        c
+                    }
+                }
+
+                /// The paired tile stored to two accumulator arrays, panel `ap0` to
+                /// `acc0` and panel `ap1` to `acc1` (column stride `MR` in each).
+                ///
+                /// # Safety
+                /// As [`pair_tile`], and both accumulators must hold `MR * NR` elements.
+                #[target_feature(enable = "avx512f")]
+                pub(in crate::elem) unsafe fn zmm_pair(
+                    kc: usize,
+                    ap0: &[$t],
+                    ap1: &[$t],
+                    bp: &[$t],
+                    acc0: &mut [$t],
+                    acc1: &mut [$t],
+                ) {
+                    unsafe {
+                        let c = pair_tile(kc, ap0, ap1, bp);
+                        let (q0, q1) = (acc0.as_mut_ptr(), acc1.as_mut_ptr());
+                        for j in 0..NR {
+                            $zmm_store(q0.add(j * MR), c[0][j]);
+                            $zmm_store(q1.add(j * MR), c[1][j]);
+                        }
+                    }
+                }
+
+                /// The paired tile added into `C` from registers:
+                /// `c[j][row0 + i] += alpha · tile[i, j]` for `i < 2·MR`, `j < NR`, as
+                /// a multiply then an add (never an FMA), so each element rounds
+                /// exactly as the scalar write-back does. The `C` tile is prefetched
+                /// before the k loop so its lines arrive while the FMAs run.
+                ///
+                /// # Safety
+                /// As [`pair_tile`]; `c` must hold `NR` columns, each at least
+                /// `row0 + 2 * MR` long.
+                #[target_feature(enable = "avx512f")]
+                pub(in crate::elem) unsafe fn zmm_pair_fused(
+                    kc: usize,
+                    ap0: &[$t],
+                    ap1: &[$t],
+                    bp: &[$t],
+                    alpha: $t,
+                    c: &mut [&mut [$t]],
+                    row0: usize,
+                ) {
+                    unsafe {
+                        // Bounds-checked: each pointer starts a 2·MR-element row range.
+                        let dst: [*mut $t; NR] =
+                            std::array::from_fn(|j| c[j][row0..row0 + 2 * MR].as_mut_ptr());
+                        // 2·MR elements are 128 bytes: three lines when unaligned.
+                        for &d in &dst {
+                            for off in [0, MR, 2 * MR - 1] {
+                                _mm_prefetch::<_MM_HINT_T0>(d.add(off).cast::<i8>());
+                            }
+                        }
+                        let tile = pair_tile(kc, ap0, ap1, bp);
+                        let va = $zmm_set1(alpha);
+                        for (j, &d) in dst.iter().enumerate() {
+                            for (h, acc) in tile.iter().enumerate() {
+                                let q = d.add(h * MR);
+                                $zmm_store(q, $zmm_add($zmm_load(q), $zmm_mul(va, acc[j])));
+                            }
+                        }
+                    }
+                }
+            }
+        };
+    }
+
+    x86_kernels!(
+        f64k, f64, 8,
+        ymm: _mm256_setzero_pd, _mm256_loadu_pd, _mm256_storeu_pd, _mm256_set1_pd,
+             _mm256_fmadd_pd;
+        zmm: __m512d, _mm512_setzero_pd, _mm512_loadu_pd, _mm512_storeu_pd, _mm512_set1_pd,
+             _mm512_fmadd_pd, _mm512_mul_pd, _mm512_add_pd;
+    );
+    x86_kernels!(
+        f32k, f32, 16,
+        ymm: _mm256_setzero_ps, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps,
+             _mm256_fmadd_ps;
+        zmm: __m512, _mm512_setzero_ps, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_set1_ps,
+             _mm512_fmadd_ps, _mm512_mul_ps, _mm512_add_ps;
+    );
+}
+
 // ---------------------------------------------------------------------------- f64 ----
 
 impl Element for f64 {
@@ -175,7 +501,7 @@ impl Element for f64 {
     const NAME: &'static str = "f64";
     const EPSILON: f64 = f64::EPSILON;
     const MR: usize = 8;
-    const NR: usize = 4;
+    const NR: usize = 8;
     // One packed A micro-panel is MR × KC = 16 KiB (L1); the MC × KC block of op(A) is
     // 256 KiB (L2); the packed op(B) buffer is bounded to KC × NC = 4 MiB.
     const DEFAULT_KC: usize = 256;
@@ -207,46 +533,7 @@ impl Element for f64 {
         Some(cols)
     }
 
-    #[inline]
-    fn micro_kernel(kc: usize, ap: &[Self], bp: &[Self], acc: &mut [Self]) {
-        debug_assert!(ap.len() >= kc * 8 && bp.len() >= kc * 4 && acc.len() >= 32);
-        #[cfg(target_arch = "x86_64")]
-        if avx2_fma_available() {
-            // SAFETY: AVX2 + FMA presence was checked at runtime; panel lengths are
-            // asserted above and the kernel reads exactly kc*MR / kc*NR elements.
-            unsafe { micro_kernel_avx2_f64(kc, ap, bp, acc) };
-            return;
-        }
-        micro_kernel_scalar::<f64>(kc, ap, bp, acc);
-    }
-
-    #[inline]
-    fn pair_panels() -> bool {
-        avx512_available()
-    }
-
-    #[inline]
-    fn micro_kernel_x2(
-        kc: usize,
-        ap0: &[Self],
-        ap1: &[Self],
-        bp: &[Self],
-        acc0: &mut [Self],
-        acc1: &mut [Self],
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            debug_assert!(ap0.len() >= kc * 8 && ap1.len() >= kc * 8 && bp.len() >= kc * 4);
-            debug_assert!(acc0.len() >= 32 && acc1.len() >= 32);
-            // SAFETY: pair_panels() gated this call on AVX-512F; lengths asserted above.
-            unsafe { micro_kernel_avx512_x2_f64(kc, ap0, ap1, bp, acc0, acc1) };
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            micro_kernel_scalar::<f64>(kc, ap0, bp, acc0);
-            micro_kernel_scalar::<f64>(kc, ap1, bp, acc1);
-        }
-    }
+    kernel_methods!(f64, f64k);
 
     fn with_pack_bufs<R>(f: impl FnOnce(&mut PackBufs<Self>) -> R) -> R {
         thread_local! {
@@ -262,133 +549,6 @@ impl Element for f64 {
     }
 }
 
-/// AVX2 + FMA `f64` micro-kernel: the full 8×4 accumulator tile lives in 8 `ymm`
-/// registers, with 2 loads + 4 broadcasts + 8 FMAs per k step.
-///
-/// # Safety
-/// Caller must ensure AVX2 and FMA are available and that `ap`/`bp`/`acc` hold at
-/// least `kc * 8` / `kc * 4` / `32` elements.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn micro_kernel_avx2_f64(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [f64]) {
-    use std::arch::x86_64::*;
-    unsafe {
-        let mut c00 = _mm256_setzero_pd();
-        let mut c01 = _mm256_setzero_pd();
-        let mut c10 = _mm256_setzero_pd();
-        let mut c11 = _mm256_setzero_pd();
-        let mut c20 = _mm256_setzero_pd();
-        let mut c21 = _mm256_setzero_pd();
-        let mut c30 = _mm256_setzero_pd();
-        let mut c31 = _mm256_setzero_pd();
-        let mut ap_ptr = ap.as_ptr();
-        let mut bp_ptr = bp.as_ptr();
-        for _ in 0..kc {
-            let a0 = _mm256_loadu_pd(ap_ptr);
-            let a1 = _mm256_loadu_pd(ap_ptr.add(4));
-            let b0 = _mm256_set1_pd(*bp_ptr);
-            c00 = _mm256_fmadd_pd(a0, b0, c00);
-            c01 = _mm256_fmadd_pd(a1, b0, c01);
-            let b1 = _mm256_set1_pd(*bp_ptr.add(1));
-            c10 = _mm256_fmadd_pd(a0, b1, c10);
-            c11 = _mm256_fmadd_pd(a1, b1, c11);
-            let b2 = _mm256_set1_pd(*bp_ptr.add(2));
-            c20 = _mm256_fmadd_pd(a0, b2, c20);
-            c21 = _mm256_fmadd_pd(a1, b2, c21);
-            let b3 = _mm256_set1_pd(*bp_ptr.add(3));
-            c30 = _mm256_fmadd_pd(a0, b3, c30);
-            c31 = _mm256_fmadd_pd(a1, b3, c31);
-            ap_ptr = ap_ptr.add(8);
-            bp_ptr = bp_ptr.add(4);
-        }
-        let p = acc.as_mut_ptr();
-        _mm256_storeu_pd(p, c00);
-        _mm256_storeu_pd(p.add(4), c01);
-        _mm256_storeu_pd(p.add(8), c10);
-        _mm256_storeu_pd(p.add(12), c11);
-        _mm256_storeu_pd(p.add(16), c20);
-        _mm256_storeu_pd(p.add(20), c21);
-        _mm256_storeu_pd(p.add(24), c30);
-        _mm256_storeu_pd(p.add(28), c31);
-    }
-}
-
-/// AVX-512 `f64` micro-kernel over **two adjacent packed `A` panels** at once: one
-/// `MR = 8` row panel is exactly one `zmm` register, so a 16×4 virtual tile fits in 8
-/// `zmm` accumulators and each k step is 2 loads + 4 broadcasts + 8 FMAs — enough
-/// independent chains to saturate CPUs with dual 512-bit FMA units, where the 8-row
-/// AVX2 kernel tops out at half the machine's peak.
-///
-/// # Safety
-/// Caller must ensure AVX-512F is available and that `ap0`/`ap1` hold at least
-/// `kc * 8`, `bp` at least `kc * 4`, and both accumulators at least `32` elements.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn micro_kernel_avx512_x2_f64(
-    kc: usize,
-    ap0: &[f64],
-    ap1: &[f64],
-    bp: &[f64],
-    acc0: &mut [f64],
-    acc1: &mut [f64],
-) {
-    use std::arch::x86_64::*;
-    unsafe {
-        let mut c00 = _mm512_setzero_pd();
-        let mut c01 = _mm512_setzero_pd();
-        let mut c10 = _mm512_setzero_pd();
-        let mut c11 = _mm512_setzero_pd();
-        let mut c20 = _mm512_setzero_pd();
-        let mut c21 = _mm512_setzero_pd();
-        let mut c30 = _mm512_setzero_pd();
-        let mut c31 = _mm512_setzero_pd();
-        let mut p0 = ap0.as_ptr();
-        let mut p1 = ap1.as_ptr();
-        let mut pb = bp.as_ptr();
-        // One k step: 2 aligned panel loads + 4 broadcasts + 8 independent FMA chains.
-        macro_rules! k_step {
-            ($off:expr) => {
-                let a0 = _mm512_loadu_pd(p0.add($off * 8));
-                let a1 = _mm512_loadu_pd(p1.add($off * 8));
-                let b0 = _mm512_set1_pd(*pb.add($off * 4));
-                c00 = _mm512_fmadd_pd(a0, b0, c00);
-                c01 = _mm512_fmadd_pd(a1, b0, c01);
-                let b1 = _mm512_set1_pd(*pb.add($off * 4 + 1));
-                c10 = _mm512_fmadd_pd(a0, b1, c10);
-                c11 = _mm512_fmadd_pd(a1, b1, c11);
-                let b2 = _mm512_set1_pd(*pb.add($off * 4 + 2));
-                c20 = _mm512_fmadd_pd(a0, b2, c20);
-                c21 = _mm512_fmadd_pd(a1, b2, c21);
-                let b3 = _mm512_set1_pd(*pb.add($off * 4 + 3));
-                c30 = _mm512_fmadd_pd(a0, b3, c30);
-                c31 = _mm512_fmadd_pd(a1, b3, c31);
-            };
-        }
-        let mut k = 0;
-        while k + 2 <= kc {
-            k_step!(0);
-            k_step!(1);
-            p0 = p0.add(16);
-            p1 = p1.add(16);
-            pb = pb.add(8);
-            k += 2;
-        }
-        if k < kc {
-            k_step!(0);
-        }
-        let q0 = acc0.as_mut_ptr();
-        _mm512_storeu_pd(q0, c00);
-        _mm512_storeu_pd(q0.add(8), c10);
-        _mm512_storeu_pd(q0.add(16), c20);
-        _mm512_storeu_pd(q0.add(24), c30);
-        let q1 = acc1.as_mut_ptr();
-        _mm512_storeu_pd(q1, c01);
-        _mm512_storeu_pd(q1.add(8), c11);
-        _mm512_storeu_pd(q1.add(16), c21);
-        _mm512_storeu_pd(q1.add(24), c31);
-    }
-}
-
 // ---------------------------------------------------------------------------- f32 ----
 
 impl Element for f32 {
@@ -399,7 +559,7 @@ impl Element for f32 {
     // Double the lanes per vector register, so the micro-tile doubles its rows: one
     // 16-row panel is one zmm (or two ymm) per k step, same register budget as f64.
     const MR: usize = 16;
-    const NR: usize = 4;
+    const NR: usize = 8;
     // Same cache budgets as f64 in *bytes*: elements are half as wide, so KC doubles
     // (MR × KC panel = 32 KiB, MC × KC block = 256 KiB, KC × NC op(B) buffer = 8 MiB).
     const DEFAULT_KC: usize = 512;
@@ -427,46 +587,7 @@ impl Element for f32 {
         f32::is_finite(self)
     }
 
-    #[inline]
-    fn micro_kernel(kc: usize, ap: &[Self], bp: &[Self], acc: &mut [Self]) {
-        debug_assert!(ap.len() >= kc * 16 && bp.len() >= kc * 4 && acc.len() >= 64);
-        #[cfg(target_arch = "x86_64")]
-        if avx2_fma_available() {
-            // SAFETY: AVX2 + FMA presence was checked at runtime; panel lengths are
-            // asserted above and the kernel reads exactly kc*MR / kc*NR elements.
-            unsafe { micro_kernel_avx2_f32(kc, ap, bp, acc) };
-            return;
-        }
-        micro_kernel_scalar::<f32>(kc, ap, bp, acc);
-    }
-
-    #[inline]
-    fn pair_panels() -> bool {
-        avx512_available()
-    }
-
-    #[inline]
-    fn micro_kernel_x2(
-        kc: usize,
-        ap0: &[Self],
-        ap1: &[Self],
-        bp: &[Self],
-        acc0: &mut [Self],
-        acc1: &mut [Self],
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            debug_assert!(ap0.len() >= kc * 16 && ap1.len() >= kc * 16 && bp.len() >= kc * 4);
-            debug_assert!(acc0.len() >= 64 && acc1.len() >= 64);
-            // SAFETY: pair_panels() gated this call on AVX-512F; lengths asserted above.
-            unsafe { micro_kernel_avx512_x2_f32(kc, ap0, ap1, bp, acc0, acc1) };
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            micro_kernel_scalar::<f32>(kc, ap0, bp, acc0);
-            micro_kernel_scalar::<f32>(kc, ap1, bp, acc1);
-        }
-    }
+    kernel_methods!(f32, f32k);
 
     fn with_pack_bufs<R>(f: impl FnOnce(&mut PackBufs<Self>) -> R) -> R {
         thread_local! {
@@ -477,132 +598,6 @@ impl Element for f32 {
             Ok(mut bufs) => f(&mut bufs),
             Err(_) => f(&mut PackBufs::default()),
         })
-    }
-}
-
-/// AVX2 + FMA `f32` micro-kernel: the 16×4 tile lives in 8 `ymm` registers (two per
-/// output column, 8 lanes each), with 2 loads + 4 broadcasts + 8 FMAs per k step —
-/// the same instruction mix as the f64 kernel at twice the elements per instruction.
-///
-/// # Safety
-/// Caller must ensure AVX2 and FMA are available and that `ap`/`bp`/`acc` hold at
-/// least `kc * 16` / `kc * 4` / `64` elements.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn micro_kernel_avx2_f32(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [f32]) {
-    use std::arch::x86_64::*;
-    unsafe {
-        let mut c00 = _mm256_setzero_ps();
-        let mut c01 = _mm256_setzero_ps();
-        let mut c10 = _mm256_setzero_ps();
-        let mut c11 = _mm256_setzero_ps();
-        let mut c20 = _mm256_setzero_ps();
-        let mut c21 = _mm256_setzero_ps();
-        let mut c30 = _mm256_setzero_ps();
-        let mut c31 = _mm256_setzero_ps();
-        let mut ap_ptr = ap.as_ptr();
-        let mut bp_ptr = bp.as_ptr();
-        for _ in 0..kc {
-            let a0 = _mm256_loadu_ps(ap_ptr);
-            let a1 = _mm256_loadu_ps(ap_ptr.add(8));
-            let b0 = _mm256_set1_ps(*bp_ptr);
-            c00 = _mm256_fmadd_ps(a0, b0, c00);
-            c01 = _mm256_fmadd_ps(a1, b0, c01);
-            let b1 = _mm256_set1_ps(*bp_ptr.add(1));
-            c10 = _mm256_fmadd_ps(a0, b1, c10);
-            c11 = _mm256_fmadd_ps(a1, b1, c11);
-            let b2 = _mm256_set1_ps(*bp_ptr.add(2));
-            c20 = _mm256_fmadd_ps(a0, b2, c20);
-            c21 = _mm256_fmadd_ps(a1, b2, c21);
-            let b3 = _mm256_set1_ps(*bp_ptr.add(3));
-            c30 = _mm256_fmadd_ps(a0, b3, c30);
-            c31 = _mm256_fmadd_ps(a1, b3, c31);
-            ap_ptr = ap_ptr.add(16);
-            bp_ptr = bp_ptr.add(4);
-        }
-        let p = acc.as_mut_ptr();
-        _mm256_storeu_ps(p, c00);
-        _mm256_storeu_ps(p.add(8), c01);
-        _mm256_storeu_ps(p.add(16), c10);
-        _mm256_storeu_ps(p.add(24), c11);
-        _mm256_storeu_ps(p.add(32), c20);
-        _mm256_storeu_ps(p.add(40), c21);
-        _mm256_storeu_ps(p.add(48), c30);
-        _mm256_storeu_ps(p.add(56), c31);
-    }
-}
-
-/// AVX-512 `f32` micro-kernel over two adjacent packed `A` panels: one `MR = 16` row
-/// panel is exactly one `zmm` register (16 f32 lanes), so the paired 32×4 virtual tile
-/// fits in 8 `zmm` accumulators with 2 loads + 4 broadcasts + 8 FMAs per k step —
-/// identical shape to the f64 paired kernel at double the elements per instruction.
-///
-/// # Safety
-/// Caller must ensure AVX-512F is available and that `ap0`/`ap1` hold at least
-/// `kc * 16`, `bp` at least `kc * 4`, and both accumulators at least `64` elements.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn micro_kernel_avx512_x2_f32(
-    kc: usize,
-    ap0: &[f32],
-    ap1: &[f32],
-    bp: &[f32],
-    acc0: &mut [f32],
-    acc1: &mut [f32],
-) {
-    use std::arch::x86_64::*;
-    unsafe {
-        let mut c00 = _mm512_setzero_ps();
-        let mut c01 = _mm512_setzero_ps();
-        let mut c10 = _mm512_setzero_ps();
-        let mut c11 = _mm512_setzero_ps();
-        let mut c20 = _mm512_setzero_ps();
-        let mut c21 = _mm512_setzero_ps();
-        let mut c30 = _mm512_setzero_ps();
-        let mut c31 = _mm512_setzero_ps();
-        let mut p0 = ap0.as_ptr();
-        let mut p1 = ap1.as_ptr();
-        let mut pb = bp.as_ptr();
-        macro_rules! k_step {
-            ($off:expr) => {
-                let a0 = _mm512_loadu_ps(p0.add($off * 16));
-                let a1 = _mm512_loadu_ps(p1.add($off * 16));
-                let b0 = _mm512_set1_ps(*pb.add($off * 4));
-                c00 = _mm512_fmadd_ps(a0, b0, c00);
-                c01 = _mm512_fmadd_ps(a1, b0, c01);
-                let b1 = _mm512_set1_ps(*pb.add($off * 4 + 1));
-                c10 = _mm512_fmadd_ps(a0, b1, c10);
-                c11 = _mm512_fmadd_ps(a1, b1, c11);
-                let b2 = _mm512_set1_ps(*pb.add($off * 4 + 2));
-                c20 = _mm512_fmadd_ps(a0, b2, c20);
-                c21 = _mm512_fmadd_ps(a1, b2, c21);
-                let b3 = _mm512_set1_ps(*pb.add($off * 4 + 3));
-                c30 = _mm512_fmadd_ps(a0, b3, c30);
-                c31 = _mm512_fmadd_ps(a1, b3, c31);
-            };
-        }
-        let mut k = 0;
-        while k + 2 <= kc {
-            k_step!(0);
-            k_step!(1);
-            p0 = p0.add(32);
-            p1 = p1.add(32);
-            pb = pb.add(8);
-            k += 2;
-        }
-        if k < kc {
-            k_step!(0);
-        }
-        let q0 = acc0.as_mut_ptr();
-        _mm512_storeu_ps(q0, c00);
-        _mm512_storeu_ps(q0.add(16), c10);
-        _mm512_storeu_ps(q0.add(32), c20);
-        _mm512_storeu_ps(q0.add(48), c30);
-        let q1 = acc1.as_mut_ptr();
-        _mm512_storeu_ps(q1, c01);
-        _mm512_storeu_ps(q1.add(16), c11);
-        _mm512_storeu_ps(q1.add(32), c21);
-        _mm512_storeu_ps(q1.add(48), c31);
     }
 }
 
@@ -660,55 +655,184 @@ impl<E: Element> PackBufs<E> {
 mod tests {
     use super::*;
 
+    /// A single-panel kernel with the signature of [`Element::micro_kernel`].
+    type SingleKernel<E> = fn(usize, &[E], &[E], &mut [E]);
+
+    /// Every single-panel backend this host can run, whichever one dispatch picks, so
+    /// the AVX2 halves are exercised on AVX-512 hosts too.
+    trait HostKernels: Element {
+        fn singles() -> Vec<(&'static str, SingleKernel<Self>)>;
+    }
+
+    macro_rules! host_kernels {
+        ($t:ty, $m:ident) => {
+            impl HostKernels for $t {
+                fn singles() -> Vec<(&'static str, SingleKernel<$t>)> {
+                    let mut out: Vec<(&'static str, SingleKernel<$t>)> =
+                        vec![("dispatched", <$t as Element>::micro_kernel)];
+                    #[cfg(target_arch = "x86_64")]
+                    {
+                        fn check_lens(kc: usize, ap: &[$t], bp: &[$t], acc: &[$t]) {
+                            let (mr, nr) = (<$t as Element>::MR, <$t as Element>::NR);
+                            assert!(ap.len() >= kc * mr && bp.len() >= kc * nr);
+                            assert!(acc.len() >= mr * nr);
+                        }
+                        if avx2_fma_available() {
+                            out.push(("avx2 halves", |kc, ap, bp, acc| {
+                                check_lens(kc, ap, bp, acc);
+                                // SAFETY: only listed after the AVX2 + FMA check above;
+                                // lengths checked, both half offsets are NR - 4 or less.
+                                unsafe {
+                                    x86::$m::avx2_half(kc, ap, bp, acc, 0);
+                                    x86::$m::avx2_half(kc, ap, bp, acc, 4);
+                                }
+                            }));
+                        }
+                        if avx512_available() {
+                            out.push(("zmm single", |kc, ap, bp, acc| {
+                                check_lens(kc, ap, bp, acc);
+                                // SAFETY: only listed after the AVX-512F check above;
+                                // lengths checked.
+                                unsafe { x86::$m::zmm_single(kc, ap, bp, acc) };
+                            }));
+                        }
+                    }
+                    out
+                }
+            }
+        };
+    }
+    host_kernels!(f64, f64k);
+    host_kernels!(f32, f32k);
+
+    /// `n` reproducible values in `[-1, 1)` with full mantissas, so products round and
+    /// FMA and mul+add differ: integer-valued inputs would hide a rounding change.
+    fn values<E: Element>(n: usize, seed: u64) -> Vec<E> {
+        (0..n as u64)
+            .map(|i| {
+                let x = (i + 1)
+                    .wrapping_add(seed << 32)
+                    .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                E::from_f64((x >> 11) as f64 / (1u64 << 52) as f64 - 1.0)
+            })
+            .collect()
+    }
+
+    fn bits<E: Element>(xs: &[E]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_f64().to_bits()).collect()
+    }
+
+    const KCS: [usize; 3] = [1, 19, 256];
+
     #[test]
     fn f32_and_f64_kernels_match_scalar_reference() {
-        fn check<E: Element>(tol: f64) {
-            let kc = 19;
-            let ap: Vec<E> = (0..kc * E::MR).map(|i| E::from_f64((i % 13) as f64 - 6.0)).collect();
-            let bp: Vec<E> =
-                (0..kc * E::NR).map(|i| E::from_f64((i % 7) as f64 * 0.5 - 1.5)).collect();
-            let mut scalar = [E::ZERO; MAX_TILE];
-            micro_kernel_scalar::<E>(kc, &ap, &bp, &mut scalar);
-            let mut dispatched = [E::from_f64(1e30); MAX_TILE]; // overwritten, not accumulated
-            E::micro_kernel(kc, &ap, &bp, &mut dispatched);
-            for (s, d) in scalar.iter().zip(dispatched.iter()).take(E::MR * E::NR) {
-                let (s, d) = (s.to_f64(), d.to_f64());
-                assert!((s - d).abs() < tol, "{} micro-kernel backends disagree: {s} vs {d}", E::NAME);
+        fn check<E: HostKernels>() {
+            let tile = E::MR * E::NR;
+            for kc in KCS {
+                let ap: Vec<E> = values(kc * E::MR, 1);
+                let bp: Vec<E> = values(kc * E::NR, 2);
+                let mut scalar = [E::ZERO; MAX_TILE];
+                micro_kernel_scalar::<E>(kc, &ap, &bp, &mut scalar);
+                let mut first: Option<Vec<u64>> = None;
+                for (name, kernel) in E::singles() {
+                    let mut acc = [E::from_f64(1e30); MAX_TILE]; // overwritten, not accumulated
+                    kernel(kc, &ap, &bp, &mut acc);
+                    // Every backend the host runs agrees bit for bit ...
+                    let got = bits(&acc[..tile]);
+                    let first = first.get_or_insert_with(|| got.clone());
+                    assert_eq!(
+                        &got,
+                        first,
+                        "{} {name} differs from the dispatched kernel at kc={kc}",
+                        E::NAME
+                    );
+                    // ... and with the scalar kernel within its double rounding.
+                    for (idx, (s, d)) in scalar.iter().zip(&acc).take(tile).enumerate() {
+                        let (i, j) = (idx % E::MR, idx / E::MR);
+                        let mag: f64 = (0..kc)
+                            .map(|k| {
+                                (ap[k * E::MR + i].to_f64() * bp[k * E::NR + j].to_f64()).abs()
+                            })
+                            .sum();
+                        let tol = 2.0 * kc as f64 * E::EPSILON * mag;
+                        let (s, d) = (s.to_f64(), d.to_f64());
+                        assert!(
+                            (s - d).abs() <= tol,
+                            "{} {name} vs scalar at kc={kc}: {s} vs {d}",
+                            E::NAME
+                        );
+                    }
+                }
             }
         }
-        check::<f64>(1e-9);
-        check::<f32>(1e-3);
+        check::<f64>();
+        check::<f32>();
     }
 
     #[test]
     fn paired_kernels_agree_with_singles() {
-        fn check<E: Element>(tol: f64) {
+        fn check<E: HostKernels>() {
             if !E::pair_panels() {
                 return; // nothing to compare on this host
             }
-            let kc = 33;
-            let ap0: Vec<E> = (0..kc * E::MR).map(|i| E::from_f64((i % 11) as f64 - 5.0)).collect();
-            let ap1: Vec<E> = (0..kc * E::MR).map(|i| E::from_f64((i % 9) as f64 * 0.25)).collect();
-            let bp: Vec<E> = (0..kc * E::NR).map(|i| E::from_f64((i % 5) as f64 - 2.0)).collect();
-            let (mut s0, mut s1) = ([E::ZERO; MAX_TILE], [E::ZERO; MAX_TILE]);
-            micro_kernel_scalar::<E>(kc, &ap0, &bp, &mut s0);
-            micro_kernel_scalar::<E>(kc, &ap1, &bp, &mut s1);
-            let nan = E::from_f64(f64::NAN);
-            let (mut p0, mut p1) = ([nan; MAX_TILE], [nan; MAX_TILE]);
-            E::micro_kernel_x2(kc, &ap0, &ap1, &bp, &mut p0, &mut p1);
-            let tile = E::MR * E::NR;
-            for (s, p) in s0
-                .iter()
-                .zip(p0.iter())
-                .take(tile)
-                .chain(s1.iter().zip(p1.iter()).take(tile))
-            {
-                let (s, p) = (s.to_f64(), p.to_f64());
-                assert!((s - p).abs() < tol, "{} paired kernel disagrees: {s} vs {p}", E::NAME);
+            let (mr, nr) = (E::MR, E::NR);
+            let tile = mr * nr;
+            let row0 = 5; // unaligned, with rows above and below the tile left alone
+            let len = row0 + 2 * mr + 3;
+            for kc in KCS {
+                let ap0: Vec<E> = values(kc * mr, 3);
+                let ap1: Vec<E> = values(kc * mr, 4);
+                let bp: Vec<E> = values(kc * nr, 5);
+                let nan = E::from_f64(f64::NAN);
+                let (mut p0, mut p1) = ([nan; MAX_TILE], [nan; MAX_TILE]);
+                E::micro_kernel_x2(kc, &ap0, &ap1, &bp, &mut p0, &mut p1);
+                for (name, kernel) in E::singles() {
+                    let (mut s0, mut s1) = ([nan; MAX_TILE], [nan; MAX_TILE]);
+                    kernel(kc, &ap0, &bp, &mut s0);
+                    kernel(kc, &ap1, &bp, &mut s1);
+                    assert_eq!(
+                        bits(&p0[..tile]),
+                        bits(&s0[..tile]),
+                        "{} paired vs {name}, kc={kc}",
+                        E::NAME
+                    );
+                    assert_eq!(
+                        bits(&p1[..tile]),
+                        bits(&s1[..tile]),
+                        "{} paired vs {name}, kc={kc}",
+                        E::NAME
+                    );
+                }
+                for alpha in [1.0, -1.0, 0.37] {
+                    let alpha = E::from_f64(alpha);
+                    let c0: Vec<Vec<E>> = (0..nr).map(|j| values(len, 6 + j as u64)).collect();
+                    // The scalar write-back: one multiply, one add per element.
+                    let mut expect = c0.clone();
+                    for (j, col) in expect.iter_mut().enumerate() {
+                        let tile_col = p0[j * mr..(j + 1) * mr]
+                            .iter()
+                            .chain(&p1[j * mr..(j + 1) * mr]);
+                        for (d, &s) in col[row0..].iter_mut().zip(tile_col) {
+                            *d += alpha * s;
+                        }
+                    }
+                    let mut fused = c0.clone();
+                    let mut cols: Vec<&mut [E]> =
+                        fused.iter_mut().map(|c| c.as_mut_slice()).collect();
+                    E::micro_kernel_x2_fused(kc, &ap0, &ap1, &bp, alpha, &mut cols, row0);
+                    for (j, (e, f)) in expect.iter().zip(&fused).enumerate() {
+                        assert_eq!(
+                            bits(e),
+                            bits(f),
+                            "{} fused write-back differs in column {j}, kc={kc}, alpha={alpha:?}",
+                            E::NAME
+                        );
+                    }
+                }
             }
         }
-        check::<f64>(1e-9);
-        check::<f32>(1e-3);
+        check::<f64>();
+        check::<f32>();
     }
 
     #[test]

@@ -10,16 +10,17 @@
 //!   compiled per element type ([`crate::tune`]) so the active `A` block lives in L2
 //!   and the active micro-panels live in L1;
 //! * an `MR × NR` register micro-kernel does all flops, selected at runtime per
-//!   element type: 8×4 in `ymm`/`zmm` pairs for `f64`, 16×4 (double the lanes per
-//!   vector) for `f32`; on AVX-512F hosts a paired-panel kernel drives two adjacent
-//!   panels at once to saturate dual 512-bit FMA units. Packed panels start on
-//!   cache-line boundaries ([`crate::elem::AlignedBuf`]) so the wide loads never
-//!   straddle lines.
+//!   element type: 8×8 for `f64`, 16×8 (double the lanes per vector) for `f32`; on
+//!   AVX-512F hosts a paired-panel kernel drives two adjacent panels at once as one
+//!   16×8 / 32×8 tile in 16 `zmm` accumulators. Packed panels start on cache-line
+//!   boundaries ([`crate::elem::AlignedBuf`]) so the wide loads never straddle lines.
 //!
 //! Tail tiles are handled by zero-padding the packed panels to full `MR`/`NR` width, so
 //! the micro-kernel is always full-size and only the write-back masks the valid region.
 //! SYRK reuses the same core through the `mask_lower` flag, which skips tiles entirely
-//! above the diagonal and masks the write-back to `i >= j`.
+//! above the diagonal and masks the write-back to `i >= j`. A full paired tile that no
+//! mask cuts skips the write-back: the fused kernel adds it into `C` from registers,
+//! rounding each element exactly as `write_back` does.
 //!
 //! The only `unsafe` in the crate is the set of SIMD micro-kernels in [`crate::elem`];
 //! each is gated by a runtime `is_x86_feature_detected!` check and operates on slices
@@ -268,9 +269,18 @@ fn macro_kernel<E: Element>(
             }
             let panel = |ir: usize| &apack[ir * kc * mr_w..(ir * kc + kc) * mr_w];
             if pair_panels && ir + 1 < mpan && !skipped(ir + 1) {
-                E::micro_kernel_x2(kc, panel(ir), panel(ir + 1), bp, &mut acc, &mut acc2);
-                write_back(alpha, ic, ir, gj0, jc + jj0, nr, mc, cols, &acc, mask_lower);
-                write_back(alpha, ic, ir + 1, gj0, jc + jj0, nr, mc, cols, &acc2, mask_lower);
+                // A full 2·MR × NR tile wholly on or below the diagonal adds into C from
+                // registers; ragged and diagonal-crossing tiles take the masked path.
+                let i0 = ic + ir * mr_w;
+                let full = nr == nr_w && (ir + 2) * mr_w <= mc;
+                if full && (!mask_lower || i0 + 1 >= gj0 + nr_w) {
+                    let c = &mut cols[jc + jj0..jc + jj0 + nr_w];
+                    E::micro_kernel_x2_fused(kc, panel(ir), panel(ir + 1), bp, alpha, c, i0);
+                } else {
+                    E::micro_kernel_x2(kc, panel(ir), panel(ir + 1), bp, &mut acc, &mut acc2);
+                    write_back(alpha, ic, ir, gj0, jc + jj0, nr, mc, cols, &acc, mask_lower);
+                    write_back(alpha, ic, ir + 1, gj0, jc + jj0, nr, mc, cols, &acc2, mask_lower);
+                }
                 ir += 2;
             } else {
                 E::micro_kernel(kc, panel(ir), bp, &mut acc);

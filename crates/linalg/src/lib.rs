@@ -8,8 +8,9 @@
 //!
 //! * [`matrix`] — column-major dense matrices and block addressing,
 //! * [`blas1`] / [`blas3`] — the kernels the factorizations are built from (GEMM, TRSM,
-//!   SYRK), backed by a packed, cache-blocked micro-kernel core (AVX2+FMA when the CPU
-//!   has it) and rayon-parallel over column strips of the output,
+//!   SYRK), backed by a packed, cache-blocked micro-kernel core (an `MR × 8` register
+//!   tile, paired into 16×8 / 32×8 on AVX-512F, AVX2+FMA halves otherwise) and
+//!   rayon-parallel over column strips of the output,
 //! * [`cholesky`], [`lu`], [`qr`] — blocked right-looking factorizations whose
 //!   per-iteration steps (panel decomposition, panel update, trailing matrix update) are
 //!   individually exposed so the heterogeneous driver in `bsr-core` can schedule them on
@@ -29,8 +30,8 @@
 //!   seeded adversarial replay executor the schedule-fuzzing suite pins determinism
 //!   with,
 //! * [`elem`] — the [`Element`] abstraction the packed kernel core is generic over
-//!   (`f64` and `f32`, each with its own AVX2/AVX-512 micro-kernels; the f32 tile packs
-//!   twice the rows per vector register),
+//!   (`f64` and `f32`, each with its own AVX2/AVX-512 micro-kernels and fused
+//!   write-back; the f32 tile packs twice the rows per vector register),
 //! * [`tune`] — the compiled cache-blocking parameters (`NC`, `KC`, `MC`) and
 //!   pool-dispatch crossover of each element type,
 //! * [`lowprec`] — the `f32` names of the generic DAG drivers (no code of its own),

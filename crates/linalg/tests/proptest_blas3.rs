@@ -1,7 +1,7 @@
 //! Property suite for the packed level-3 kernels: GEMM/SYRK/TRSM must agree with a
 //! naive per-element reference over randomized shapes, all four transpose
 //! combinations, offset output blocks, BLAS `beta == 0` overwrite semantics, and
-//! tail sizes that are not multiples of the micro-kernel tiles (MR = 8, NR = 4) or of
+//! tail sizes that are not multiples of the micro-kernel tiles (MR = 8, NR = 8) or of
 //! the KC = 256 inner blocking.
 
 use bsr_linalg::blas3::{
@@ -58,7 +58,7 @@ fn stored_operand(rng: &mut ChaCha8Rng, trans: Trans, rows: usize, cols: usize) 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // Shapes span tile tails (MR = 8 / NR = 4 non-multiples) and k crosses the KC = 256
+    // Shapes span tile tails (MR = 8 / NR = 8 non-multiples) and k crosses the KC = 256
     // packing boundary; one case in eight crosses several KC and MC blocks at once. The
     // output lands in an offset block of a larger C whose surroundings must stay
     // untouched.

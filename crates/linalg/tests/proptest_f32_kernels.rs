@@ -1,5 +1,5 @@
 //! Property suite for the **f32** packed level-3 kernels: the wide-tile micro-kernel
-//! (MR = 16, NR = 4 — twice the f64 lanes per AVX-512/AVX2 vector) must agree with a
+//! (MR = 16, NR = 8 — twice the f64 lanes per AVX-512/AVX2 vector) must agree with a
 //! scalar per-element reference over randomized shapes, all transpose combinations,
 //! offset output blocks, `beta == 0` overwrite semantics, and tail sizes that are not
 //! multiples of the f32 micro-tile or of the KC = 512 inner blocking.
@@ -72,7 +72,7 @@ fn stored_operand(rng: &mut ChaCha8Rng, trans: Trans, rows: usize, cols: usize) 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // Shapes span the f32 micro-tile tails (MR = 16 / NR = 4 non-multiples) and k
+    // Shapes span the f32 micro-tile tails (MR = 16 / NR = 8 non-multiples) and k
     // crosses the KC = 512 packing boundary; one case in eight crosses several KC and MC
     // blocks at once. The output lands in an offset block of a larger C whose
     // surroundings must stay untouched bit-for-bit.
@@ -129,7 +129,7 @@ proptest! {
     // untouched even when the wide tiles cross the diagonal.
     #[test]
     fn f32_syrk_matches_scalar_reference(
-        (order, k) in (1usize..56, 1usize..28),
+        (order, k) in (1usize..96, 1usize..28),
         (off, beta_sel) in (0usize..4, 0u8..3),
         seed in any::<u64>(),
         alpha in -2.0f64..2.0,

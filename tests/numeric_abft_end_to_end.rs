@@ -7,8 +7,9 @@
 //! feedback loop itself is exercised by `measured_feedback_reacts_to_real_execution`
 //! below and by the unit tests in `bsr-core::numeric`.
 
-use bsr_repro::framework::config::AbftMode;
+use bsr_repro::framework::config::{AbftMode, PredictorKind};
 use bsr_repro::prelude::*;
+use bsr_repro::sched::{EnhancedPredictor, Op, SlackPredictor};
 
 fn noisy_cfg(dec: Decomposition, mode: AbftMode, seed: u64) -> RunConfig {
     let mut cfg = RunConfig::small(dec, 192, 32, Strategy::Bsr(BsrConfig::with_ratio(0.4)))
@@ -161,24 +162,48 @@ fn measured_feedback_reacts_to_real_execution() {
         "measured-fed predictions must track real execution better than the analytic \
          model (predictor {predictor_err:.3} vs analytic {analytic_err:.3})"
     );
-    // The plans themselves are built from wall-clock-scale predictions: the summed
-    // predicted slack must exceed the analytic-fed run's (host kernels are slower
-    // than the simulated GPU at every size this suite runs).
+    // The plans themselves are built from the measured time base: replaying the fed
+    // run's measured record through a fresh predictor of the same kind, with the
+    // engine's recording protocol (trailing update = the iteration's measured update,
+    // panel update folded into it as 0), reproduces every iteration's prediction.
+    // Magnitudes are not compared with the analytic-fed run's: whether host kernels
+    // are slower or faster than the simulated GPU depends on the host.
+    assert_eq!(cfg.predictor, PredictorKind::Enhanced);
+    let mut replay = EnhancedPredictor::new(cfg.workload);
+    for m in &fed.measured {
+        let expected = replay
+            .predict(m.k, Op::TrailingUpdate)
+            .zip(replay.predict(m.k, Op::PanelUpdate))
+            .map(|(tmu, pu)| tmu + pu);
+        match (m.predicted_update_s, expected) {
+            (Some(got), Some(want)) => assert!(
+                (got - want).abs() <= 1e-12 * want.abs(),
+                "iteration {}: fed prediction {got:.6e} is not derived from the measured \
+                 record ({want:.6e})",
+                m.k
+            ),
+            (got, want) => assert_eq!(got.is_some(), want.is_some(), "iteration {}", m.k),
+        }
+        replay.record(m.k, Op::PanelDecomposition, m.pd_s);
+        replay.record(m.k, Op::PanelUpdate, 0.0);
+        replay.record(m.k, Op::TrailingUpdate, m.update_s);
+    }
+    // ... and that time base is not the analytic one: with feedback off, every
+    // iteration with trailing work is planned from a different prediction.
     let unfed = run_numeric(cfg.with_measured_feedback(false)).unwrap();
-    let fed_slack: f64 = fed.report.iterations[1..]
+    let with_work: Vec<_> = fed.measured[1..]
         .iter()
-        .map(|t| t.predicted_slack_s.abs())
-        .sum();
-    let unfed_slack: f64 = unfed.report.iterations[1..]
-        .iter()
-        .map(|t| t.predicted_slack_s.abs())
-        .sum();
-    // Plain `>` rather than a fixed multiple: the gap between host wall-clock and the
-    // simulated platform varies with the machine, and this assertion only needs to
-    // witness that the plans were built from a different (measured) time base.
-    assert!(
-        fed_slack > unfed_slack,
-        "measured-fed plans must see host-scale slack (fed {fed_slack:.3e} vs \
-         analytic-fed {unfed_slack:.3e})"
-    );
+        .zip(&unfed.measured[1..])
+        .filter(|(f, _)| f.analytic_update_s > 0.0)
+        .collect();
+    assert!(!with_work.is_empty(), "no planned iteration has trailing work");
+    for (f, u) in with_work {
+        assert!(f.predicted_update_s.is_some() && u.predicted_update_s.is_some());
+        assert_ne!(
+            f.predicted_update_s, u.predicted_update_s,
+            "iteration {}: measured-fed and analytic-fed plans coincide",
+            f.k
+        );
+    }
 }
+
