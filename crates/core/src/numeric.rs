@@ -243,7 +243,10 @@ pub struct NumericRunReport {
     pub report: RunReport,
     /// The factors the run produced.
     pub factors: NumericFactors,
-    /// Relative factorization residual against the original input.
+    /// Relative factorization residual against the original input, for f64 runs.
+    /// `f64::NAN` on mixed-precision runs — not computed: a mixed run is judged by
+    /// [`NumericRunReport::mixed`], and its f32 factors are only f32-accurate by
+    /// construction, so an f64 sweep over their promoted copy would decide nothing.
     pub residual: f64,
     /// Aggregated checksum verification outcome over all iterations.
     pub verification: VerifyOutcome,
@@ -318,19 +321,16 @@ fn mean_relative_error(pairs: impl Iterator<Item = (f64, f64)>) -> Option<f64> {
     }
 }
 
-/// The final numerical verification every run ends with: the relative factorization
-/// residual against the original input. Cholesky factor storage goes in as it is
-/// (`cholesky_residual` reads the lower triangle only); f32 factors are promoted.
+/// The final numerical verification every f64 run ends with: the relative
+/// factorization residual against the original input. Cholesky factor storage goes
+/// in as it is (`cholesky_residual` reads the lower triangle only). Mixed factors get
+/// NaN — not computed: a mixed run is judged by its refinement.
 fn factorization_residual(input: &Matrix, factors: &NumericFactors) -> f64 {
     match factors {
         NumericFactors::Cholesky(m) => cholesky_residual(input, m),
         NumericFactors::Lu(f) => lu_residual(input, f),
         NumericFactors::Qr(f) => qr_residual(input, f),
-        NumericFactors::MixedLu(f) => lu_residual(
-            input,
-            &lu::LuFactors { lu: f.lu.promote(), pivots: f.pivots.clone() },
-        ),
-        NumericFactors::MixedCholesky(m) => cholesky_residual(input, &m.promote()),
+        NumericFactors::MixedLu(_) | NumericFactors::MixedCholesky(_) => f64::NAN,
     }
 }
 
@@ -461,8 +461,9 @@ pub(crate) fn dispatch(cfg: RunConfig, input: &Matrix) -> Result<NumericRunRepor
 ///
 /// A mixed run appends the f64 refinement epilogue ([`refine`]). What differs, all
 /// visible in the report: `numerically_correct` means *refinement converged to f64
-/// backward error* (the `residual` of the promoted f32 factors is f32-accurate by
-/// construction), and the timeline ends in a `REFINE` task.
+/// backward error*, `residual` is NaN (the f32 factors are f32-accurate by
+/// construction, so no residual of theirs is computed), and the timeline ends in a
+/// `REFINE` task.
 fn run_graph<E: Element, G: FactorGraph<E>>(
     cfg: RunConfig,
     input: &Matrix,
@@ -594,11 +595,12 @@ where
     // --- final numerical verification against the original input ----------------------
     // Once, on the attempt the ladder settled on: an abandoned attempt is replayed
     // whatever its residual, so verifying it would only add to the replay cost.
+    // Mixed precision is judged by the refinement's convergence alone. The residual of
+    // its f32-accurate factors (a promoted copy and a full f64 sweep, more than the f32
+    // factorization itself costs) would decide nothing, so it is not computed: NaN.
     let pd0 = graph.timing().panel_s.first().copied().unwrap_or(0.0);
     let factors = into_factors(graph);
     let residual = factorization_residual(input, &factors);
-    // Mixed precision: correctness is judged by the refinement's convergence, not the
-    // residual of the f32-accurate factors.
     let mixed = (cfg.precision == Precision::MixedF32).then(|| refine(&cfg, input, &factors));
 
     // --- the two-stream timeline ------------------------------------------------------
@@ -1036,7 +1038,8 @@ mod tests {
                 .with_abft_mode(mode)
                 .with_fault_injection(false)
                 .with_precision(Precision::MixedF32);
-            let out = run_numeric(cfg).unwrap();
+            let input = generate_input(&cfg);
+            let out = run_numeric_on(cfg, &input).unwrap();
             let mixed = out.mixed.expect("mixed runs must carry a refinement record");
             assert!(
                 mixed.converged,
@@ -1050,14 +1053,26 @@ mod tests {
                 "f32 factors cannot hit f64 backward error without at least one sweep"
             );
             assert!(out.numerically_correct);
-            assert!(matches!(out.factors, NumericFactors::MixedLu(_)));
-            // The f32 factors themselves are only f32-accurate: the factorization
-            // residual must sit far above the f64 threshold, proving the refinement —
-            // not the factorization — is what earns correctness.
+            // A mixed run computes no factorization residual ...
             assert!(
-                out.residual > CORRECTNESS_THRESHOLD,
-                "f32 factor residual {res:.3e} is implausibly small",
-                res = out.residual
+                out.residual.is_nan(),
+                "mixed residual {:e} is not NaN",
+                out.residual
+            );
+            // ... because its f32 factors are only f32-accurate: the residual of their
+            // promoted copy sits far above the f64 threshold, proving the refinement —
+            // not the factorization — is what earns correctness.
+            let NumericFactors::MixedLu(f) = &out.factors else {
+                panic!("a mixed LU run must return f32 LU factors");
+            };
+            let promoted = lu::LuFactors {
+                lu: f.lu.promote(),
+                pivots: f.pivots.clone(),
+            };
+            let res = lu_residual(&input, &promoted);
+            assert!(
+                res > CORRECTNESS_THRESHOLD,
+                "f32 factor residual {res:.3e} is implausibly small"
             );
             assert_eq!(out.measured.len(), 6);
             assert!(out.measured.iter().all(|m| m.update_s > 0.0));

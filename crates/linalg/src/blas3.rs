@@ -18,10 +18,10 @@
 //! into caller-owned column slices so each tile task's disjointness is a borrow-checker
 //! fact.
 
-use crate::blas1::axpy;
 use crate::elem::Element;
 use crate::kernel;
 use crate::matrix::{Block, Matrix};
+use crate::subst;
 use rayon::prelude::*;
 
 pub(crate) use crate::kernel::{Operand, PackedA};
@@ -101,18 +101,6 @@ fn op_get<E: Element>(a: &Matrix<E>, trans: Trans, i: usize, j: usize) -> E {
         Trans::No => a.get(i, j),
         Trans::Yes => a.get(j, i),
     }
-}
-
-/// Dense copy of the `rows × cols` sub-block of `op(A)` at op-coordinates `(r0, c0)`.
-fn copy_op_block<E: Element>(
-    a: &Matrix<E>,
-    trans: Trans,
-    r0: usize,
-    rows: usize,
-    c0: usize,
-    cols: usize,
-) -> Matrix<E> {
-    Matrix::from_fn(rows, cols, |i, j| op_get(a, trans, r0 + i, c0 + j))
 }
 
 /// Apply BLAS `beta`/`alpha` scaling semantics to an output block: a factor of exactly
@@ -337,7 +325,7 @@ pub(crate) fn repack_a_op<E: Element>(
 
 /// [`gemm_acc_cols`] against a pre-packed `op(A)`: `cols[jj][i] += alpha ·
 /// (op(A)·op(B))[a_row0 + i, b_col0 + jj]` where `op(A)` was packed once with
-/// [`pack_a_op`]. `a_row0` must be `MR`-aligned (the drivers fall back to
+/// [`repack_a_op`]. `a_row0` must be `MR`-aligned (the drivers fall back to
 /// [`gemm_acc_cols`] otherwise); results are bit-identical to the unpacked path.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_acc_cols_prepacked<E: Element>(
@@ -386,9 +374,10 @@ pub(crate) fn gemm_acc_cols_prepacked<E: Element>(
 /// is the `n × n` unit-lower-triangular operand.
 ///
 /// Replicates [`trsm_into_block`]`(Left, Lower, No, Unit)` operation for operation —
-/// the same `TRSM_NB` diagonal substitutions and the same rank-`TRSM_NB` GEMM
-/// eliminations — so the result is bit-identical while the tile task solves directly
-/// in its own columns instead of round-tripping through an extracted copy.
+/// the same `TRSM_NB` diagonal substitutions (the same left-side kernel) and the same
+/// rank-`TRSM_NB` GEMM eliminations — so the result is bit-identical while the tile
+/// task solves directly in its own columns instead of round-tripping through an
+/// extracted copy.
 pub(crate) fn trsm_unit_lower_cols<E: Element>(l: &Matrix<E>, row0: usize, cols: &mut [&mut [E]]) {
     assert!(l.is_square(), "trsm_unit_lower_cols: L must be square");
     let n = l.rows();
@@ -399,13 +388,12 @@ pub(crate) fn trsm_unit_lower_cols<E: Element>(l: &Matrix<E>, row0: usize, cols:
     while d0 < n {
         let ndb = TRSM_NB.min(n - d0);
         let d1 = d0 + ndb;
-        // Substitution on rows [row0 + d0, row0 + d1), per column (unit diagonal).
-        for col in cols.iter_mut() {
-            forward_sweep_lower(l, d0, Diag::Unit, &mut col[row0 + d0..row0 + d1]);
-        }
+        // Substitution on rows [row0 + d0, row0 + d1) of every column (unit diagonal).
+        let sys = left_diag_system(l, Trans::No, UpLo::Lower, Diag::Unit, d0, ndb);
+        subst::solve_left_cols(&sys, cols, row0 + d0);
         if d1 < n {
             // Eliminate the solved rows from the rows below through the packed GEMM,
-            // exactly as the blocked TRSM does (same operand copies, same summation).
+            // exactly as the blocked TRSM does (same operand values, same summation).
             let aop = l.copy_block(Block::new(d1, d0, n - d1, ndb));
             let xsol = crate::task::extract_cols(cols, row0 + d0, row0 + d1);
             let mut sub: Vec<&mut [E]> = cols
@@ -423,9 +411,10 @@ pub(crate) fn trsm_unit_lower_cols<E: Element>(l: &Matrix<E>, row0: usize, cols:
 /// lower-triangular (non-unit) operand.
 ///
 /// Replicates [`trsm_into_block`]`(Right, Lower, Yes, NonUnit)` — effective-upper
-/// forward sweep: per `TRSM_NB` diagonal block a column-coupled substitution, then one
-/// packed GEMM eliminating the solved columns from the later ones — so the result is
-/// bit-identical while the tiled Cholesky panel solves directly in its own columns.
+/// forward sweep: per `TRSM_NB` diagonal block a column-coupled substitution (the same
+/// right-side kernel), then one packed GEMM eliminating the solved columns from the
+/// later ones — so the result is bit-identical while the tiled Cholesky panel solves
+/// directly in its own columns.
 pub(crate) fn trsm_right_lower_trans_cols<E: Element>(
     l: &Matrix<E>,
     row0: usize,
@@ -447,24 +436,12 @@ pub(crate) fn trsm_right_lower_trans_cols<E: Element>(
         let d1 = d0 + ndb;
         // Column-coupled substitution within the diagonal block (op(A) = Lᵀ is upper:
         // column j depends on columns l < j).
-        for j in d0..d1 {
-            for lc in d0..j {
-                let scale = l.get(j, lc);
-                if scale != E::ZERO {
-                    let (src, dst) = crate::task::col_pair(cols, lc, j);
-                    for (d, &s) in dst[row0..].iter_mut().zip(src[row0..].iter()) {
-                        *d -= scale * s;
-                    }
-                }
-            }
-            let d = l.get(j, j);
-            for v in cols[j][row0..].iter_mut() {
-                *v /= d;
-            }
-        }
+        let sys = right_diag_system(l, Trans::Yes, UpLo::Upper, Diag::NonUnit, d0, ndb);
+        let mut block: Vec<&mut [E]> = cols[d0..d1].iter_mut().map(|c| &mut c[row0..]).collect();
+        crate::elem::solve_lanes(&sys, &mut block);
         if d1 < n {
             // Eliminate the solved columns from the later ones through the packed
-            // GEMM, with the same operand copies as the blocked TRSM.
+            // GEMM, with the same operand values as the blocked TRSM.
             let xsol = crate::task::extract_cols(&cols[d0..d1], row0, nrows);
             let aop = Matrix::from_fn(ndb, n - d1, |i, j| l.get(d1 + j, d0 + i));
             let mut sub: Vec<&mut [E]> =
@@ -536,8 +513,9 @@ pub fn gemv<E: Element>(a: &Matrix<E>, transa: Trans, x: &Matrix<E>) -> Matrix<E
 ///
 /// `A` must be a square triangular matrix of the appropriate order. The solve is
 /// blocked along the diagonal in `TRSM_NB` = 64 steps: only the small diagonal systems
-/// are solved by substitution, the remaining rank-`TRSM_NB` updates go through the
-/// packed (and, for large problems, multithreaded) GEMM core.
+/// are solved by substitution (the runtime-dispatched kernels of `crate::subst`), the
+/// remaining rank-`TRSM_NB` updates go through the packed (and, for large problems,
+/// multithreaded) GEMM core, which reads `op(A)` in place.
 #[allow(clippy::too_many_arguments)]
 pub fn trsm_into_block<E: Element>(
     side: Side,
@@ -586,17 +564,16 @@ pub fn trsm_into_block<E: Element>(
                 solve_left_diag(a, transa, eff_uplo, diag, d0, nb, b, bb);
                 let d1 = d0 + nb;
                 if d1 < n {
-                    let aop = copy_op_block(a, transa, d1, n - d1, d0, nb);
                     let xsol = b.copy_block(Block::new(bb.row + d0, bb.col, nb, bb.cols));
-                    gemm_into_block(
+                    gemm_block(
                         -1.0,
-                        &aop,
-                        Trans::No,
-                        &xsol,
-                        Trans::No,
+                        Operand::at(a, transa, d1, d0),
+                        Operand::whole(&xsol, Trans::No),
+                        nb,
                         1.0,
                         b,
                         Block::new(bb.row + d1, bb.col, n - d1, bb.cols),
+                        false,
                     );
                 }
                 d0 = d1;
@@ -610,17 +587,16 @@ pub fn trsm_into_block<E: Element>(
                 let d0 = d1 - nb;
                 solve_left_diag(a, transa, eff_uplo, diag, d0, nb, b, bb);
                 if d0 > 0 {
-                    let aop = copy_op_block(a, transa, 0, d0, d0, nb);
                     let xsol = b.copy_block(Block::new(bb.row + d0, bb.col, nb, bb.cols));
-                    gemm_into_block(
+                    gemm_block(
                         -1.0,
-                        &aop,
-                        Trans::No,
-                        &xsol,
-                        Trans::No,
+                        Operand::at(a, transa, 0, d0),
+                        Operand::whole(&xsol, Trans::No),
+                        nb,
                         1.0,
                         b,
                         Block::new(bb.row, bb.col, d0, bb.cols),
+                        false,
                     );
                 }
                 d1 = d0;
@@ -636,16 +612,15 @@ pub fn trsm_into_block<E: Element>(
                 solve_right_diag(a, transa, eff_uplo, diag, d0, nb, b, bb);
                 if d0 > 0 {
                     let xsol = b.copy_block(Block::new(bb.row, bb.col + d0, bb.rows, nb));
-                    let aop = copy_op_block(a, transa, d0, nb, 0, d0);
-                    gemm_into_block(
+                    gemm_block(
                         -1.0,
-                        &xsol,
-                        Trans::No,
-                        &aop,
-                        Trans::No,
+                        Operand::whole(&xsol, Trans::No),
+                        Operand::at(a, transa, d0, 0),
+                        nb,
                         1.0,
                         b,
                         Block::new(bb.row, bb.col, bb.rows, d0),
+                        false,
                     );
                 }
                 d1 = d0;
@@ -661,22 +636,59 @@ pub fn trsm_into_block<E: Element>(
                 let d1 = d0 + nb;
                 if d1 < n {
                     let xsol = b.copy_block(Block::new(bb.row, bb.col + d0, bb.rows, nb));
-                    let aop = copy_op_block(a, transa, d0, nb, d1, n - d1);
-                    gemm_into_block(
+                    gemm_block(
                         -1.0,
-                        &xsol,
-                        Trans::No,
-                        &aop,
-                        Trans::No,
+                        Operand::whole(&xsol, Trans::No),
+                        Operand::at(a, transa, d0, d1),
+                        nb,
                         1.0,
                         b,
                         Block::new(bb.row, bb.col + d1, bb.rows, n - d1),
+                        false,
                     );
                 }
                 d0 = d1;
             }
         }
     }
+}
+
+/// The `nb × nb` diagonal system at `(d0, d0)` of `op(A)` as a left-side solve sees
+/// it: unknown `i` subtracts `op(A)[i, l] · x[l]` over the solved `l` in ascending
+/// order (`l < i` for an effective-lower `op(A)`, `l > i`, solved from the last, for
+/// an effective-upper one), then divides by `op(A)[i, i]` unless the diagonal is unit.
+/// For the lower case this is forward substitution by rows; by columns (`x[i] −=
+/// L[i, j] · x[j]` for `j` ascending) every `x[i]` receives the same operations in the
+/// same order, so the two are the same bits.
+fn left_diag_system<E: Element>(
+    a: &Matrix<E>,
+    transa: Trans,
+    eff_uplo: UpLo,
+    diag: Diag,
+    d0: usize,
+    nb: usize,
+) -> subst::Coupling<E> {
+    subst::Coupling::new(nb, eff_uplo == UpLo::Upper, diag, false, |i, l| {
+        op_get(a, transa, d0 + i, d0 + l)
+    })
+}
+
+/// The `nb × nb` diagonal system at `(d0, d0)` of `op(A)` as a right-side solve
+/// `X' · op(A) = B'` sees it: column `j` subtracts `op(A)[l, j] · X[:, l]` over the
+/// solved columns `l` in ascending order (`l < j` for an effective-upper `op(A)`,
+/// `l > j`, solved from the last, for an effective-lower one), skipping exact-zero
+/// coefficients, then divides by `op(A)[j, j]` unless the diagonal is unit.
+fn right_diag_system<E: Element>(
+    a: &Matrix<E>,
+    transa: Trans,
+    eff_uplo: UpLo,
+    diag: Diag,
+    d0: usize,
+    nb: usize,
+) -> subst::Coupling<E> {
+    subst::Coupling::new(nb, eff_uplo == UpLo::Lower, diag, true, |j, l| {
+        op_get(a, transa, d0 + l, d0 + j)
+    })
 }
 
 /// Substitution solve of the `nb × nb` diagonal system at `(d0, d0)` of `op(A)` against
@@ -694,62 +706,13 @@ fn solve_left_diag<E: Element>(
     bb: Block,
 ) {
     let bsub = Block::new(bb.row + d0, bb.col, nb, bb.cols);
-    let solve_col = |col: &mut [E]| match eff_uplo {
-        UpLo::Lower if transa == Trans::No => forward_sweep_lower(a, d0, diag, col),
-        UpLo::Lower => {
-            for i in 0..nb {
-                let gi = d0 + i;
-                let mut sum = col[i];
-                for (l, &cl) in col[..i].iter().enumerate() {
-                    sum -= op_get(a, transa, gi, d0 + l) * cl;
-                }
-                col[i] = match diag {
-                    Diag::Unit => sum,
-                    Diag::NonUnit => sum / op_get(a, transa, gi, gi),
-                };
-            }
-        }
-        UpLo::Upper => {
-            for i in (0..nb).rev() {
-                let gi = d0 + i;
-                let mut sum = col[i];
-                for (l, &cl) in col[..nb].iter().enumerate().skip(i + 1) {
-                    sum -= op_get(a, transa, gi, d0 + l) * cl;
-                }
-                col[i] = match diag {
-                    Diag::Unit => sum,
-                    Diag::NonUnit => sum / op_get(a, transa, gi, gi),
-                };
-            }
-        }
-    };
+    let sys = left_diag_system(a, transa, eff_uplo, diag, d0, nb);
     let threads = parallel_degree::<E>(bb.cols * nb * nb);
     let strip = bb.cols.div_ceil(threads);
     with_block_cols(b, bsub, |cols| {
-        cols.par_chunks_mut(strip).for_each(|chunk| {
-            for col in chunk.iter_mut() {
-                solve_col(col);
-            }
-        });
+        cols.par_chunks_mut(strip)
+            .for_each(|chunk| subst::solve_left_cols(&sys, chunk, 0));
     });
-}
-
-/// Forward substitution `x ← L⁻¹ x` against the lower-triangular diagonal block of `l`
-/// at `(d0, d0)` (of order `x.len()`), swept by column: once `x[j]` is final (divided by
-/// `L[j, j]` first for `NonUnit`), `x[j+1..] −= L[j+1.., j] · x[j]` reads column `j` of
-/// the column-major `l` contiguously. Every `x[i]` receives the same subtractions in the
-/// same order as row-by-row substitution, and `axpy` does not fuse, so the two are
-/// bit-identical.
-fn forward_sweep_lower<E: Element>(l: &Matrix<E>, d0: usize, diag: Diag, x: &mut [E]) {
-    let nb = x.len();
-    for j in 0..nb {
-        let gj = d0 + j;
-        if diag == Diag::NonUnit {
-            x[j] /= l.get(gj, gj);
-        }
-        let (head, tail) = x.split_at_mut(j + 1);
-        axpy(-head[j], &l.col(gj)[gj + 1..d0 + nb], tail);
-    }
 }
 
 /// Solve the `nb`-column diagonal sub-problem `X' · op(A)[d0..d1, d0..d1] = B'` in
@@ -767,65 +730,9 @@ fn solve_right_diag<E: Element>(
     b: &mut Matrix<E>,
     bb: Block,
 ) {
-    match eff_uplo {
-        UpLo::Lower => {
-            for j in (d0..d0 + nb).rev() {
-                for l in j + 1..d0 + nb {
-                    let scale = op_get(a, transa, l, j);
-                    if scale != E::ZERO {
-                        subtract_scaled_column(b, bb, j, l, scale);
-                    }
-                }
-                if diag == Diag::NonUnit {
-                    let d = op_get(a, transa, j, j);
-                    for v in column_mut(b, bb, j) {
-                        *v /= d;
-                    }
-                }
-            }
-        }
-        UpLo::Upper => {
-            for j in d0..d0 + nb {
-                for l in d0..j {
-                    let scale = op_get(a, transa, l, j);
-                    if scale != E::ZERO {
-                        subtract_scaled_column(b, bb, j, l, scale);
-                    }
-                }
-                if diag == Diag::NonUnit {
-                    let d = op_get(a, transa, j, j);
-                    for v in column_mut(b, bb, j) {
-                        *v /= d;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// `B[bb][:, j] -= scale * B[bb][:, l]` for two local column indices of the block.
-fn subtract_scaled_column<E: Element>(b: &mut Matrix<E>, bb: Block, j: usize, l: usize, scale: E) {
-    let rows = bb.rows;
-    let row0 = bb.row;
-    let (cj, cl) = (bb.col + j, bb.col + l);
-    // Columns are disjoint slices of the backing storage; split_at_mut gives us both.
-    let b_rows = b.rows();
-    let data = b.data_mut();
-    let (lo_idx, hi_idx) = if cl < cj { (cl, cj) } else { (cj, cl) };
-    let (head, tail) = data.split_at_mut(hi_idx * b_rows);
-    let lo_col = &mut head[lo_idx * b_rows..lo_idx * b_rows + b_rows];
-    let hi_col = &mut tail[..b_rows];
-    let (dst, src): (&mut [E], &[E]) = if cl < cj { (hi_col, lo_col) } else { (lo_col, hi_col) };
-    for i in 0..rows {
-        dst[row0 + i] -= scale * src[row0 + i];
-    }
-}
-
-/// Mutable slice of local column `j` of block `bb`.
-fn column_mut<E: Element>(b: &mut Matrix<E>, bb: Block, j: usize) -> &mut [E] {
-    let rows = b.rows();
-    let col = bb.col + j;
-    &mut b.data_mut()[col * rows + bb.row..col * rows + bb.row + bb.rows]
+    let sys = right_diag_system(a, transa, eff_uplo, diag, d0, nb);
+    let bsub = Block::new(bb.row, bb.col + d0, bb.rows, nb);
+    with_block_cols(b, bsub, |cols| crate::elem::solve_lanes(&sys, cols));
 }
 
 /// Symmetric rank-k update of the lower triangle of a block of `c`:

@@ -6,13 +6,12 @@
 //! points are public so the heterogeneous driver in `bsr-core` can interleave them with
 //! checksum maintenance, fault injection and simulated timing.
 
-use crate::blas1::{axpy, scal};
 use crate::blas3::{
     gemm_acc_cols, gemm_acc_cols_prepacked, repack_a_op, syrk_lower_into_block, trsm_into_block,
     trsm_right_lower_trans_cols, Diag, PackedA, Side, Trans, UpLo,
 };
 use crate::dag::{Checkpoint, DagExecution, DagTiming, FactorGraph, TileGraph, TileTasks};
-use crate::elem::Element;
+use crate::elem::{potf2_lanes, Element};
 use crate::matrix::{Block, Matrix};
 use crate::task::{
     panel_attempt, restore_rows, snapshot_rows, StepTiming, TileCols, TileVerdict, TrailingHook,
@@ -42,29 +41,17 @@ impl std::fmt::Display for CholeskyError {
 impl std::error::Error for CholeskyError {}
 
 /// Unblocked Cholesky factorization (lower) of the `nb × nb` diagonal block starting at
-/// `(j0, j0)`. This is the panel decomposition (PD) kernel.
+/// `(j0, j0)`. This is the panel decomposition (PD) kernel: per column, every previous
+/// panel column is folded in (`A[j.., j] −= L[j, k] · L[j.., k]`), then the pivot is
+/// square-rooted and the subcolumn scaled, in the runtime-dispatched column-slice
+/// kernel the tiled panel shares.
 pub fn potf2(a: &mut Matrix, j0: usize, nb: usize) -> Result<(), CholeskyError> {
-    let jend = j0 + nb;
-    for j in j0..jend {
-        // Fold every previous panel column k into column j in one axpy each:
-        // A[j.., j] -= L[j][k] * L[j.., k]. After the sweep, A[j][j] holds the
-        // updated pivot and A[j+1.., j] the updated subcolumn.
-        for k in j0..j {
-            let (lk, lj) = a.col_pair_mut(k, j);
-            axpy(-lk[j], &lk[j..jend], &mut lj[j..jend]);
-        }
-        let col_j = a.col_range_mut(j, j, jend);
-        let d = col_j[0];
-        // `d <= 0` alone is false for NaN and +Inf, which would sqrt/scale straight
-        // into non-finite factors.
-        if d <= 0.0 || !d.is_finite() {
-            return Err(CholeskyError::NotPositiveDefinite(j));
-        }
-        let d = d.sqrt();
-        col_j[0] = d;
-        scal(1.0 / d, &mut col_j[1..]);
-    }
-    Ok(())
+    let rows = a.rows();
+    let mut cols: Vec<&mut [f64]> = a
+        .cols_range_mut(Block::new(0, j0, rows, nb))
+        .map(|(_, c)| c)
+        .collect();
+    potf2_lanes(&mut cols, j0).map_err(|j| CholeskyError::NotPositiveDefinite(j0 + j))
 }
 
 /// Panel update (PU) of iteration `k`: `A21 ← A21 · L11⁻ᵀ` where `A21` is the block of
@@ -183,31 +170,13 @@ fn factor_panel_tile<E: Element>(
     tile: &mut TileCols<'_, E>,
     row0: usize,
 ) -> Result<(), CholeskyError> {
-    use crate::task::{col_pair, extract_cols};
     let n = tile.rows();
-    let nb = tile.width();
-    let cols = &mut tile.cols[..];
-    // potf2 on the diagonal block: per column, fold the previous panel columns in
-    // with one axpy each, then sqrt the pivot and scale the subcolumn.
-    let jend = row0 + nb;
-    for j in 0..nb {
-        for k in 0..j {
-            let (lk, lj) = col_pair(cols, k, j);
-            axpy(-lk[row0 + j], &lk[row0 + j..jend], &mut lj[row0 + j..jend]);
-        }
-        let col_j = &mut cols[j][row0 + j..jend];
-        let d = col_j[0];
-        // Same rejection as [`potf2`]: NaN and +Inf pivots are not positive definite.
-        if d <= E::ZERO || !d.is_finite() {
-            return Err(CholeskyError::NotPositiveDefinite(row0 + j));
-        }
-        let d = d.sqrt();
-        col_j[0] = d;
-        scal(E::ONE / d, &mut col_j[1..]);
-    }
+    let jend = row0 + tile.width();
+    // potf2 on the diagonal block, in the kernel [`potf2`] runs.
+    potf2_lanes(&mut tile.cols, row0).map_err(|j| CholeskyError::NotPositiveDefinite(row0 + j))?;
     // Panel update (TRSM): A21 ← A21 · L11⁻ᵀ on the rows below the diagonal block.
     if jend < n {
-        let l11 = extract_cols(&tile.cols[..], row0, jend).lower_triangular();
+        let l11 = crate::task::extract_cols(&tile.cols[..], row0, jend).lower_triangular();
         trsm_right_lower_trans_cols(&l11, jend, &mut tile.cols);
     }
     Ok(())

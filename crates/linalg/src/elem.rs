@@ -24,10 +24,17 @@
 //! Each element type carries its own micro-tile geometry (`MR`/`NR`), its own
 //! cache-blocking parameters (reported by [`crate::tune`]) and its own thread-local
 //! packing scratch.
+//!
+//! The triangular substitution kernels beneath TRSM's diagonal blocks and the
+//! Cholesky panel (`crate::subst`) are safe generic code; this module compiles them
+//! once more per SIMD level (AVX-512F, AVX2) and dispatches at runtime, so all
+//! `unsafe` stays here.
 
 use std::fmt::Debug;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use std::sync::OnceLock;
+
+use crate::subst::Coupling;
 
 /// Upper bound of `MR * NR` over all element types; micro-kernel accumulators are
 /// fixed-size arrays of this length, sliced down to the type's real tile.
@@ -280,6 +287,55 @@ macro_rules! kernel_methods {
     };
 }
 
+/// Call `crate::subst::$f::<E, W>($args)` with `W` = the lanes of `E` in `$bytes`
+/// bytes: strip kernels hold 8 vector registers of accumulators at the level they are
+/// compiled for.
+macro_rules! with_lanes {
+    ($e:ty, $bytes:literal, $f:ident, ($($arg:expr),*)) => {
+        if std::mem::size_of::<$e>() == 8 {
+            crate::subst::$f::<$e, { $bytes / 8 }>($($arg),*)
+        } else {
+            crate::subst::$f::<$e, { $bytes / 4 }>($($arg),*)
+        }
+    };
+}
+
+/// The substitution strip kernels of [`crate::subst`], compiled for the widest SIMD
+/// level the host runs (AVX-512F, AVX2, or the baseline target) and dispatched once
+/// per call. Every level performs the same scalar operations per element in the same
+/// order, so all of them produce the same bits.
+macro_rules! subst_dispatch {
+    ($(#[$doc:meta])* $name:ident, $ret:ty, ($($arg:ident: $ty:ty),*)) => {
+        $(#[$doc])*
+        pub(crate) fn $name<E: Element>($($arg: $ty),*) -> $ret {
+            #[cfg(target_arch = "x86_64")]
+            {
+                if avx512_available() {
+                    // SAFETY: AVX-512F presence was checked at runtime; the kernel body
+                    // is safe code, so the target feature is its only requirement.
+                    return unsafe { x86::subst::$name::avx512::<E>($($arg),*) };
+                }
+                if avx2_fma_available() {
+                    // SAFETY: AVX2 presence was checked at runtime, as above.
+                    return unsafe { x86::subst::$name::avx2::<E>($($arg),*) };
+                }
+            }
+            with_lanes!(E, 128, $name, ($($arg),*))
+        }
+    };
+}
+
+subst_dispatch!(
+    /// [`crate::subst::solve_lanes`]: solve a coupled triangular system on every lane
+    /// of its column slices.
+    solve_lanes, (), (sys: &Coupling<E>, cols: &mut [&mut [E]])
+);
+subst_dispatch!(
+    /// [`crate::subst::potf2_lanes`]: unblocked Cholesky of a diagonal block held in
+    /// column slices.
+    potf2_lanes, Result<(), usize>, (cols: &mut [&mut [E]], row0: usize)
+);
+
 /// x86-64 SIMD micro-kernels, generated once per element type by `x86_kernels!` into
 /// `x86::f64k` and `x86::f32k`. `$l` is the type's `zmm` lane count, which is also its
 /// `MR`; `NR` is 8 for both types.
@@ -475,6 +531,35 @@ mod x86 {
                 }
             }
         };
+    }
+
+    /// The [`crate::subst`] strip kernels compiled with each SIMD level's target
+    /// features: the `#[inline(always)]` bodies are inlined into these wrappers, so
+    /// their fixed-width strips vectorize at the level's register width.
+    pub(super) mod subst {
+        macro_rules! levels {
+            ($name:ident, $ret:ty, ($($arg:ident: $ty:ty),*)) => {
+                pub(in crate::elem) mod $name {
+                    use crate::elem::Element;
+
+                    /// # Safety
+                    /// AVX-512F must be available.
+                    #[target_feature(enable = "avx512f")]
+                    pub(in crate::elem) unsafe fn avx512<E: Element>($($arg: $ty),*) -> $ret {
+                        with_lanes!(E, 512, $name, ($($arg),*))
+                    }
+
+                    /// # Safety
+                    /// AVX2 must be available.
+                    #[target_feature(enable = "avx2")]
+                    pub(in crate::elem) unsafe fn avx2<E: Element>($($arg: $ty),*) -> $ret {
+                        with_lanes!(E, 256, $name, ($($arg),*))
+                    }
+                }
+            };
+        }
+        levels!(solve_lanes, (), (sys: &crate::subst::Coupling<E>, cols: &mut [&mut [E]]));
+        levels!(potf2_lanes, Result<(), usize>, (cols: &mut [&mut [E]], row0: usize));
     }
 
     x86_kernels!(
@@ -829,6 +914,168 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+        check::<f64>();
+        check::<f32>();
+    }
+
+    /// Every substitution level the host runs: the portable build and each SIMD
+    /// wrapper the dispatch may pick.
+    fn subst_levels<E: Element>() -> Vec<(&'static str, SubstLevel<E>)> {
+        let mut out: Vec<(&'static str, SubstLevel<E>)> = vec![(
+            "portable",
+            SubstLevel {
+                solve: |sys, cols| with_lanes!(E, 128, solve_lanes, (sys, cols)),
+                potf2: |cols, row0| with_lanes!(E, 128, potf2_lanes, (cols, row0)),
+            },
+        )];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if avx2_fma_available() {
+                out.push((
+                    "avx2",
+                    SubstLevel {
+                        // SAFETY: only listed after the AVX2 check above.
+                        solve: |sys, cols| unsafe { x86::subst::solve_lanes::avx2(sys, cols) },
+                        // SAFETY: as above.
+                        potf2: |cols, row0| unsafe { x86::subst::potf2_lanes::avx2(cols, row0) },
+                    },
+                ));
+            }
+            if avx512_available() {
+                out.push((
+                    "avx512",
+                    SubstLevel {
+                        // SAFETY: only listed after the AVX-512F check above.
+                        solve: |sys, cols| unsafe { x86::subst::solve_lanes::avx512(sys, cols) },
+                        // SAFETY: as above.
+                        potf2: |cols, row0| unsafe { x86::subst::potf2_lanes::avx512(cols, row0) },
+                    },
+                ));
+            }
+        }
+        out
+    }
+
+    struct SubstLevel<E> {
+        solve: fn(&Coupling<E>, &mut [&mut [E]]),
+        potf2: fn(&mut [&mut [E]], usize) -> Result<(), usize>,
+    }
+
+    #[test]
+    fn substitution_levels_match_the_scalar_loops() {
+        use crate::blas1::axpy;
+        use crate::blas3::Diag;
+        fn check<E: Element>() {
+            // 150 lanes: full strips at every level, then 8-lane and 1-lane tails.
+            let (n, lanes) = (37, 150);
+            let coef: Vec<E> = values(n * n, 7);
+            // Exact zeros in the coefficients (whole rows of them for every sixth
+            // unknown) and signed zeros in the data: `-0 − 0·x` is `+0` for a negative
+            // `x`, so a skipped zero coefficient leaves a sign the scalar loop keeps.
+            let coef_at = |t: usize, s: usize| {
+                if ((t * 7 + s * 3).is_multiple_of(5) || t % 6 == 2) && t != s {
+                    E::ZERO
+                } else if t == s {
+                    E::from_f64(2.0) + coef[t * n + s].abs()
+                } else {
+                    coef[t * n + s]
+                }
+            };
+            let data: Vec<Vec<E>> = (0..n)
+                .map(|t| {
+                    let mut col = values::<E>(lanes, 100 + t as u64);
+                    col.iter_mut()
+                        .step_by(6 + t % 3)
+                        .for_each(|v| *v = -E::ZERO);
+                    col
+                })
+                .collect();
+            for backward in [false, true] {
+                for skip_zeros in [false, true] {
+                    for diag in [Diag::Unit, Diag::NonUnit] {
+                        let sys = Coupling::new(n, backward, diag, skip_zeros, coef_at);
+                        // The scalar substitution, lane by lane.
+                        let mut expect = data.clone();
+                        for lane in 0..lanes {
+                            let mut x: Vec<E> = expect.iter().map(|col| col[lane]).collect();
+                            let order: Vec<usize> = if backward {
+                                (0..n).rev().collect()
+                            } else {
+                                (0..n).collect()
+                            };
+                            for t in order {
+                                let srcs = if backward { t + 1..n } else { 0..t };
+                                for s in srcs {
+                                    let c = coef_at(t, s);
+                                    if !(skip_zeros && c == E::ZERO) {
+                                        let xs = x[s];
+                                        x[t] -= c * xs;
+                                    }
+                                }
+                                if diag == Diag::NonUnit {
+                                    x[t] /= coef_at(t, t);
+                                }
+                            }
+                            for (col, &v) in expect.iter_mut().zip(&x) {
+                                col[lane] = v;
+                            }
+                        }
+                        for (name, level) in subst_levels::<E>() {
+                            let mut got = data.clone();
+                            let mut cols: Vec<&mut [E]> =
+                                got.iter_mut().map(|c| c.as_mut_slice()).collect();
+                            (level.solve)(&sys, &mut cols);
+                            for (t, (e, g)) in expect.iter().zip(&got).enumerate() {
+                                assert_eq!(
+                                    bits(e),
+                                    bits(g),
+                                    "{} {name}: unknown {t}, backward={backward}, \
+                                     skip={skip_zeros}, {diag:?}",
+                                    E::NAME
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+            // potf2 on a diagonal block at row 5 of 80-row columns: the axpy loop of
+            // the blocked Cholesky it replaced, against every level.
+            let (nb, row0, rows) = (70, 5, 80);
+            let spd: Vec<Vec<E>> = (0..nb)
+                .map(|j| {
+                    let mut col = values::<E>(rows, 300 + j as u64);
+                    col[row0 + j] = E::from_f64(nb as f64);
+                    col
+                })
+                .collect();
+            let mut expect = spd.clone();
+            for j in 0..nb {
+                let (done, rest) = expect.split_at_mut(j);
+                for lk in done.iter() {
+                    let rows = row0 + j..row0 + nb;
+                    axpy(-lk[row0 + j], &lk[rows.clone()], &mut rest[0][rows]);
+                }
+                let d = expect[j][row0 + j].sqrt();
+                expect[j][row0 + j] = d;
+                let inv = E::ONE / d;
+                for v in &mut expect[j][row0 + j + 1..row0 + nb] {
+                    *v *= inv;
+                }
+            }
+            for (name, level) in subst_levels::<E>() {
+                let mut got = spd.clone();
+                let mut cols: Vec<&mut [E]> = got.iter_mut().map(|c| c.as_mut_slice()).collect();
+                assert_eq!((level.potf2)(&mut cols, row0), Ok(()), "{} {name}", E::NAME);
+                for (j, (e, g)) in expect.iter().zip(&got).enumerate() {
+                    assert_eq!(bits(e), bits(g), "{} {name}: potf2 column {j}", E::NAME);
+                }
+                // A non-positive pivot names its column.
+                let mut bad = spd.clone();
+                bad[3][row0 + 3] = -E::ONE;
+                let mut cols: Vec<&mut [E]> = bad.iter_mut().map(|c| c.as_mut_slice()).collect();
+                assert_eq!((level.potf2)(&mut cols, row0), Err(3), "{} {name}", E::NAME);
             }
         }
         check::<f64>();

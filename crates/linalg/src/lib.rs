@@ -58,6 +58,7 @@ pub mod lu;
 pub mod matrix;
 pub mod qr;
 pub mod solve;
+mod subst;
 pub mod task;
 pub mod tune;
 pub mod verify;

@@ -242,11 +242,21 @@ impl<E: Element> LuFactors<E> {
     }
 
     /// Apply the recorded row interchanges to a copy of `m` (computes `P · m`).
+    ///
+    /// The swaps are composed into one row permutation once (`out[i] = m[perm[i]]`),
+    /// then every column is one gather, instead of replaying all swaps per column.
     pub fn apply_permutation(&self, m: &Matrix<E>) -> Matrix<E> {
-        let mut out = m.clone();
-        let cols = out.cols();
-        out.apply_row_swaps(0, &self.pivots, 0, cols);
-        out
+        let rows = m.rows();
+        let mut perm: Vec<usize> = (0..rows).collect();
+        for (k, &p) in self.pivots.iter().enumerate() {
+            perm.swap(k, p);
+        }
+        let mut data = Vec::with_capacity(rows * m.cols());
+        for j in 0..m.cols() {
+            let col = m.col(j);
+            data.extend(perm.iter().map(|&i| col[i]));
+        }
+        Matrix::from_column_major(rows, m.cols(), data)
     }
 
     /// Solve `A X = B` against these factors (LAPACK `getrs`), delegating to
@@ -585,6 +595,21 @@ mod tests {
         assert!(x.approx_eq(&x_true, 1e-8), "LuFactors::solve drifted");
         // The delegate and the method are the same computation, bit for bit.
         assert_eq!(x.data(), crate::solve::lu_solve(&f.lu, &f.pivots, &b).data());
+    }
+
+    #[test]
+    fn apply_permutation_equals_replaying_the_swaps() {
+        let mut rng = ChaCha8Rng::seed_from_u64(43);
+        let (n, b) = (37, 8);
+        let f = lu_blocked(&random_matrix(&mut rng, n, n), b).unwrap();
+        assert!(
+            f.pivots.iter().enumerate().any(|(k, &p)| p != k),
+            "no row was swapped"
+        );
+        let m = random_matrix(&mut rng, n, 5);
+        let mut replayed = m.clone();
+        replayed.apply_row_swaps(0, &f.pivots, 0, m.cols());
+        assert_eq!(f.apply_permutation(&m).data(), replayed.data());
     }
 
     #[test]

@@ -216,6 +216,39 @@ mod tests {
     }
 
     #[test]
+    fn narrow_solves_substitute_column_by_column() {
+        // Right-hand sides of at most `SUBST_MAX_RHS` columns (the refinement's n × 1
+        // solves among them) never reach the packed GEMM core: each column goes
+        // through `trsv_columns` on its own, bit for bit.
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let n = 150;
+        let a = random_spd_matrix(&mut rng, n);
+        let mut l = a.clone();
+        crate::cholesky::cholesky_blocked(&mut l, 32).unwrap();
+        let f = lu_blocked(&random_matrix(&mut rng, n, n), 32).unwrap();
+        for w in [1, SUBST_MAX_RHS] {
+            let b = random_matrix(&mut rng, n, w);
+            let (chol, lu) = (cholesky_solve(&l, &b), lu_solve(&f.lu, &f.pivots, &b));
+            for j in 0..w {
+                let col = |m: &Matrix| Matrix::from_fn(n, 1, |i, _| m.get(i, j));
+                let one = Block::full(n, 1);
+                let mut x = col(&b);
+                trsv_columns(UpLo::Lower, Trans::No, Diag::NonUnit, &l, &mut x, one);
+                trsv_columns(UpLo::Lower, Trans::Yes, Diag::NonUnit, &l, &mut x, one);
+                assert_eq!(
+                    x.data(),
+                    col(&chol).data(),
+                    "Cholesky, {w} columns, column {j}"
+                );
+                let mut x = f.apply_permutation(&col(&b));
+                trsv_columns(UpLo::Lower, Trans::No, Diag::Unit, &f.lu, &mut x, one);
+                trsv_columns(UpLo::Upper, Trans::No, Diag::NonUnit, &f.lu, &mut x, one);
+                assert_eq!(x.data(), col(&lu).data(), "LU, {w} columns, column {j}");
+            }
+        }
+    }
+
+    #[test]
     fn cholesky_solve_recovers_known_solution() {
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let n = 33;
