@@ -13,6 +13,10 @@
 //! job (DAG runtime, ABFT off). The constants are those of the FMA backends
 //! (`avx2+fma`, `avx512f`), which agree bit for bit; on a `scalar` backend the suite
 //! is skipped.
+//!
+//! The inputs themselves are pinned too: `generate_input`'s hashes, recorded while the
+//! generators drew element by element and built SPD inputs with a full `B·Bᵀ` GEMM,
+//! hold any faster generator to the same bits.
 
 use bsr_abft::checksum::ChecksumScheme;
 use bsr_core::config::{AbftMode, Precision, RunConfig};
@@ -151,4 +155,40 @@ fn mixed_path_bits_are_unchanged() {
         bad.join("\n"),
         table.join("\n")
     );
+}
+
+const INPUT_BITS: &[(&str, u64)] = &[
+    ("cholesky_n96_s13", 0xea2e2d098a357a53),
+    ("cholesky_n256_s13", 0x3f60c3395b338994),
+    ("cholesky_n256_s29", 0x5f0b7fa213dcb910),
+    ("lu_n96_s13", 0x43bf8f31f3c4a461),
+    ("lu_n256_s13", 0xb15c04d375f072d0),
+    ("lu_n256_s29", 0x20ec18a8c094e991),
+    ("qr_n96_s13", 0x43bf8f31f3c4a461),
+    ("qr_n256_s13", 0xb15c04d375f072d0),
+    ("qr_n256_s29", 0x20ec18a8c094e991),
+];
+
+/// The inputs the numeric engine, the service and the benchmark factor. LU and QR
+/// share the general input, so their hashes agree; only the SPD (Cholesky) input
+/// involves a reduction, and only it is skipped on a `scalar` backend.
+#[test]
+fn generated_inputs_keep_their_bits() {
+    let fma = simd_backend() != "scalar";
+    let cases = Decomposition::ALL
+        .into_iter()
+        .flat_map(|dec| [(dec, 96, 13), (dec, 256, 13), (dec, 256, 29)]);
+    let mut bad = Vec::new();
+    for (&(name, want), (dec, n, seed)) in INPUT_BITS.iter().zip(cases) {
+        assert_eq!(name, format!("{dec:?}_n{n}_s{seed}").to_lowercase());
+        if dec == Decomposition::Cholesky && !fma {
+            continue;
+        }
+        let cfg = RunConfig::small(dec, n, 32, Strategy::Original).with_seed(seed);
+        let got = hash_of(|h| h.matrix(&generate_input(&cfg)));
+        if got != want {
+            bad.push(format!("{name}: expected {want:#018x}, got {got:#018x}"));
+        }
+    }
+    assert!(bad.is_empty(), "input bits changed:\n{}", bad.join("\n"));
 }

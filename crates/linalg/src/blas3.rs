@@ -393,14 +393,23 @@ pub(crate) fn trsm_unit_lower_cols<E: Element>(l: &Matrix<E>, row0: usize, cols:
         subst::solve_left_cols(&sys, cols, row0 + d0);
         if d1 < n {
             // Eliminate the solved rows from the rows below through the packed GEMM,
-            // exactly as the blocked TRSM does (same operand values, same summation).
-            let aop = l.copy_block(Block::new(d1, d0, n - d1, ndb));
+            // exactly as the blocked TRSM does (same operand values, same summation);
+            // the `L` block is packed from `l` in place.
             let xsol = crate::task::extract_cols(cols, row0 + d0, row0 + d1);
             let mut sub: Vec<&mut [E]> = cols
                 .iter_mut()
                 .map(|c| &mut c[row0 + d1..row0 + n])
                 .collect();
-            gemm_acc_cols(-1.0, &aop, Trans::No, 0, &xsol, Trans::No, 0, &mut sub, false);
+            kernel::gemm_strip(
+                E::from_f64(-1.0),
+                Operand::at(l, Trans::No, d1, d0),
+                Operand::whole(&xsol, Trans::No),
+                n - d1,
+                ndb,
+                0,
+                &mut sub,
+                false,
+            );
         }
         d0 = d1;
     }
@@ -441,12 +450,21 @@ pub(crate) fn trsm_right_lower_trans_cols<E: Element>(
         crate::elem::solve_lanes(&sys, &mut block);
         if d1 < n {
             // Eliminate the solved columns from the later ones through the packed
-            // GEMM, with the same operand values as the blocked TRSM.
+            // GEMM, with the same operand values as the blocked TRSM; the `Lᵀ` block
+            // is packed from `l` in place.
             let xsol = crate::task::extract_cols(&cols[d0..d1], row0, nrows);
-            let aop = Matrix::from_fn(ndb, n - d1, |i, j| l.get(d1 + j, d0 + i));
             let mut sub: Vec<&mut [E]> =
                 cols[d1..n].iter_mut().map(|c| &mut c[row0..]).collect();
-            gemm_acc_cols(-1.0, &xsol, Trans::No, 0, &aop, Trans::No, 0, &mut sub, false);
+            kernel::gemm_strip(
+                E::from_f64(-1.0),
+                Operand::whole(&xsol, Trans::No),
+                Operand::at(l, Trans::Yes, d0, d1),
+                nrows - row0,
+                ndb,
+                0,
+                &mut sub,
+                false,
+            );
         }
         d0 = d1;
     }
