@@ -7,7 +7,7 @@
 //! * **full checksum** — both dimensions are encoded, which additionally covers 1D
 //!   (row/column) error patterns at higher overhead.
 //!
-//! Both legacy schemes carry *two* checksum vectors per encoded direction, the classic
+//! Both carry *two* checksum vectors per encoded direction, the classic
 //! Huang–Abraham construction: an unweighted sum `Σ_i a_ij` and a weighted sum
 //! `Σ_i w_i a_ij` with `w_i = i + 1`. The ratio of the two discrepancies locates the
 //! corrupted index, and the unweighted discrepancy is the correction value.
@@ -19,13 +19,22 @@
 //! moments `S_p = Σ_j m_j x_j^p` of the error magnitudes `m_j` at nodes `x_j = i_j + 1`,
 //! and `2t` moments locate and correct up to `t` simultaneous errors per line (Prony's
 //! method: the error locator polynomial satisfies a linear recurrence over the
-//! syndromes, and its roots must be the integer nodes). Because every syndrome must be
-//! explained by the decoded hypothesis, the code also recognizes strikes landing in the
-//! stored check vectors *themselves* — a data error lights every syndrome
-//! (`m·x^p ≠ 0` for all `p`), so sparse nonzero syndromes with no consistent data
-//! interpretation identify corrupted check values, which are simply not trusted while
-//! the data is accepted as clean. That retires the checksum-of-checksums guard as the
-//! only defense against metadata strikes.
+//! syndromes, and its roots must be the integer nodes).
+//!
+//! **One decoder.** The paper's two schemes are the order-1 code: `Full` is `Multi(1)`,
+//! and `SingleSide` is the same code with no row direction. Every scheme verifies
+//! through one decoder at `t = `[`ChecksumScheme::correctable_per_line`]: a column pass,
+//! a row pass over what the columns left (a full row is one error per column, a full
+//! column one error per row), and an acceptance check — a tile whose data changed is
+//! accepted only if every column and every row then verifies; anything else is
+//! uncorrectable and left to recovery.
+//!
+//! **One guard.** The decoder trusts the stored check vectors, so a strike that lands
+//! in the vectors themselves would make it "correct" healthy data against garbage.
+//! [`BlockChecksums`] therefore carries an exact hash of its vectors, taken whenever
+//! encode or the GEMM update writes them and compared before decoding: a mismatch
+//! reports the tile uncorrectable ([`VerifyEventKind::ChecksumGuard`]) and leaves the
+//! data untouched, under every scheme.
 
 use bsr_linalg::blas1::{axpy, dot};
 use bsr_linalg::matrix::{Block, Matrix};
@@ -35,8 +44,8 @@ use serde::{Deserialize, Serialize};
 /// `acc[p] += Σ_i (i+1)^p · v_i` for all `p < acc.len()`.
 ///
 /// For `acc.len() == 2` this performs the exact additions (same order, same values)
-/// of the classic fused unweighted + index-weighted pass, so legacy two-vector
-/// checksums are bit-identical to what they were before the generalization.
+/// of the classic fused unweighted + index-weighted pass, so the two-vector
+/// checksums of `SingleSide` / `Full` are bit-identical to the classic construction.
 #[inline]
 fn accumulate_power_sums(x: &[f64], acc: &mut [f64]) {
     for (i, &v) in x.iter().enumerate() {
@@ -62,9 +71,8 @@ pub enum ChecksumScheme {
     /// Order-`t` Vandermonde code on both directions: `2t` check vectors per side
     /// (power weights `(i+1)^p`, `p = 0..2t`), locating and correcting up to `t`
     /// simultaneous errors per column and per row — including multi-strike patterns
-    /// that defeat [`ChecksumScheme::Full`] — and absorbing strikes in the check
-    /// vectors themselves in place. `Multi(1)` matches `Full`'s per-line correction
-    /// capability while adding the metadata self-defense.
+    /// that defeat [`ChecksumScheme::Full`]. `Multi(1)` carries `Full`'s vectors and
+    /// decodes exactly like it.
     Multi(u8),
 }
 
@@ -139,7 +147,7 @@ fn tile_max_abs(cols: &[&mut [f64]]) -> f64 {
 }
 
 /// Column-direction checksums of a block: `checks[p][j] = Σ_i (i+1)^p a_ij`, one
-/// value per column `j` and weight order `p`. Legacy schemes carry two vectors
+/// value per column `j` and weight order `p`. `SingleSide` / `Full` carry two vectors
 /// (`p = 0` unweighted, `p = 1` index-weighted); an order-`t` [`ChecksumScheme::Multi`]
 /// code carries `2t`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -191,6 +199,8 @@ pub struct BlockChecksums {
     pub columns: Option<ColumnChecksums>,
     /// Row checksums (present for `Full` and `Multi`).
     pub rows: Option<RowChecksums>,
+    /// [`checksum_guard`] of the vectors as encode or the GEMM update last wrote them.
+    guard: u64,
 }
 
 /// What one verification discrepancy turned out to be.
@@ -198,31 +208,23 @@ pub struct BlockChecksums {
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
 )]
 pub enum VerifyEventKind {
-    /// Single element corrected from its column (or row/column intersection).
+    /// Single element of one column corrected by the column pass.
     Corrected0d,
-    /// A corrupted row rebuilt from the column discrepancies (full scheme).
-    Corrected1dRow,
-    /// A corrupted column rebuilt from the row discrepancies (full scheme).
-    Corrected1dCol,
     /// Multiple elements of one column corrected by the order-`t` Vandermonde code.
     CorrectedKCol,
-    /// Elements of one row corrected by the order-`t` code (the cross-direction
-    /// rescue for columns holding more than `t` strikes).
+    /// Elements of one row corrected by the row pass (the cross-direction rescue for
+    /// columns holding more than `t` strikes, e.g. a wiped column).
     CorrectedKRow,
-    /// Strikes in the stored check vectors themselves, recognized by the code
-    /// (sparse syndromes with no consistent data interpretation) — the data is
-    /// clean and accepted; the corrupted metadata is simply not trusted.
-    CorrectedCheck,
     /// Detected but beyond the scheme's correction capability.
     Uncorrectable,
-    /// The checksum vectors themselves failed the checksum-of-checksums guard;
-    /// element verification was skipped for the tile (its checksums are untrusted).
-    /// Legacy schemes only — `Multi` handles metadata strikes through the code.
+    /// The check vectors themselves no longer match the hash taken when they were
+    /// written: decoding was skipped and the tile left as is (its checksums are
+    /// untrusted).
     ChecksumGuard,
 }
 
 /// One located verification discrepancy: global coordinates of (the first element
-/// of) the affected region plus its classification. 1D events carry the corrected
+/// of) the affected region plus its classification. Line events carry the corrected
 /// line's first affected element; uncorrectable events carry best-effort anchors.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
@@ -239,15 +241,10 @@ pub struct VerifyEvent {
 /// Outcome of verifying (and correcting) one block against its checksums.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VerifyOutcome {
-    /// Number of single elements corrected.
+    /// Number of columns corrected at a single element.
     pub corrected_0d: usize,
-    /// Number of full/partial rows or columns corrected (legacy full scheme).
-    pub corrected_1d: usize,
-    /// Number of multi-element line corrections by the order-`t` code.
+    /// Number of multi-element column corrections and of row-pass corrections.
     pub corrected_k: usize,
-    /// Number of lines whose stored check values were recognized as struck while
-    /// the data verified clean (metadata self-defense of the `Multi` codes).
-    pub corrected_check: usize,
     /// Number of discrepancies that could not be attributed/corrected.
     pub uncorrectable: usize,
     /// Located discrepancies with global coordinates, kept in canonical (sorted)
@@ -262,9 +259,9 @@ impl VerifyOutcome {
         self.uncorrectable == 0
     }
 
-    /// Total in-place corrections of any kind (data or recognized check strikes).
+    /// Total in-place corrections of any kind.
     pub fn total_corrected(&self) -> usize {
-        self.corrected_0d + self.corrected_1d + self.corrected_k + self.corrected_check
+        self.corrected_0d + self.corrected_k
     }
 
     /// Merge another outcome into this one. The combined event log is re-sorted
@@ -272,9 +269,7 @@ impl VerifyOutcome {
     /// per-tile outcomes produces the same final log.
     pub fn merge(&mut self, other: &VerifyOutcome) {
         self.corrected_0d += other.corrected_0d;
-        self.corrected_1d += other.corrected_1d;
         self.corrected_k += other.corrected_k;
-        self.corrected_check += other.corrected_check;
         self.uncorrectable += other.uncorrectable;
         self.events.extend_from_slice(&other.events);
         self.events.sort_unstable();
@@ -291,7 +286,7 @@ fn col_views(m: &Matrix, block: Block) -> Vec<&[f64]> {
 
 /// Column checksums of a tile given as per-column slices (`cols[j][i]` is tile element
 /// `(i, j)`; all slices must share one length), carrying `vectors` power-weight
-/// vectors (`vectors = 2` is the legacy unweighted + weighted pair).
+/// vectors (`vectors = 2` is the classic unweighted + weighted pair).
 pub fn encode_column_checksums_slices(cols: &[&[f64]], vectors: usize) -> ColumnChecksums {
     let mut checks = vec![vec![0.0; cols.len()]; vectors];
     let mut acc = vec![0.0; vectors];
@@ -337,7 +332,9 @@ pub fn encode_block_slices(cols: &[&[f64]], block: Block, scheme: ChecksumScheme
         0 => None,
         nv => Some(encode_row_checksums_slices(cols, nv)),
     };
-    BlockChecksums { block, scheme, columns, rows }
+    let mut cs = BlockChecksums { block, scheme, columns, rows, guard: 0 };
+    cs.guard = checksum_guard(&cs);
+    cs
 }
 
 /// Encode `vectors` column check vectors of `block` of `m`.
@@ -414,7 +411,8 @@ pub fn update_row_checksums_gemm(cs: &mut RowChecksums, l: &Matrix, u: &Matrix) 
     }
 }
 
-/// Update the checksums of a block through a GEMM trailing update `C ← C − L·U`.
+/// Update the checksums of a block through a GEMM trailing update `C ← C − L·U`,
+/// and take the guard hash of the updated vectors.
 pub fn update_block_checksums_gemm(cs: &mut BlockChecksums, l: &Matrix, u: &Matrix) {
     if let Some(cols) = cs.columns.as_mut() {
         update_column_checksums_gemm(cols, l, u);
@@ -422,56 +420,36 @@ pub fn update_block_checksums_gemm(cs: &mut BlockChecksums, l: &Matrix, u: &Matr
     if let Some(rows) = cs.rows.as_mut() {
         update_row_checksums_gemm(rows, l, u);
     }
+    cs.guard = checksum_guard(cs);
 }
 
-/// Mismatch test of one stored/recomputed check value of weight order `order`,
-/// against the magnitude scale of its own vector.
-fn mismatch(expected: f64, actual: f64, order: usize, scale: f64) -> bool {
-    (expected - actual).abs() > rel_tol(order) * scale
-}
-
-/// Checksum-of-checksums: an exact (bit-level) hash over every checksum vector of a
-/// block. Computed right after encoding and compared right before verification, it
-/// detects faults that strike the checksum *vectors* themselves — which legacy
-/// element verification cannot, since it trusts the stored checksums. A mismatch
-/// means the checksums are unreliable and the tile must be treated as
-/// uncorrectable-corrupt. The `Multi` codes do not need this guard: their decoder
-/// recognizes (and survives) metadata strikes through the code itself.
-pub fn checksum_guard(cs: &BlockChecksums) -> u64 {
+/// Exact (bit-level) hash over every check vector of a block. [`BlockChecksums`]
+/// stores it whenever encode or the GEMM update writes the vectors, and verification
+/// compares it before decoding: a strike in the vectors themselves — which the decoder,
+/// trusting them, would "correct" healthy data against — shows up as a mismatch.
+fn checksum_guard(cs: &BlockChecksums) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |vs: &[f64]| {
-        for v in vs {
-            h = h.wrapping_mul(31).wrapping_add(v.to_bits());
-        }
-    };
-    if let Some(c) = cs.columns.as_ref() {
-        for v in &c.checks {
-            mix(v);
-        }
-    }
-    if let Some(r) = cs.rows.as_ref() {
-        for v in &r.checks {
-            mix(v);
-        }
+    let vectors = cs.columns.iter().map(|c| &c.checks).chain(cs.rows.iter().map(|r| &r.checks));
+    for v in vectors.flatten().flatten() {
+        h = h.wrapping_mul(31).wrapping_add(v.to_bits());
     }
     h
 }
 
 /// Verify the block of `m` against `cs` and correct what the scheme allows.
 ///
-/// * 0D errors: located from the weighted/unweighted discrepancy ratio of the affected
-///   column (single-side or full) and corrected by the unweighted discrepancy.
-/// * 1D errors (full scheme only): a corrupted row (many columns disagree, one row
-///   checksum disagrees) is rebuilt column-by-column from the column discrepancies;
-///   corrupted columns are handled symmetrically from row discrepancies.
-/// * `Multi(t)`: up to `t` simultaneous errors per column and per row decoded by
-///   Prony's method over the `2t` power-moment syndromes, a cross-direction row pass
-///   rescuing columns beyond `t`, and strikes in the stored check vectors themselves
-///   recognized and absorbed without touching the data.
+/// Every scheme decodes with one order-`t` code (`t` =
+/// [`ChecksumScheme::correctable_per_line`]):
 ///
-/// Returns what was corrected; discrepancies that cannot be attributed (e.g. 2D patterns,
-/// or 1D patterns under the single-side scheme) are reported as `uncorrectable` and the
-/// matrix is left as is for those.
+/// * the stored vectors must still match their guard hash, or the tile is reported
+///   uncorrectable ([`VerifyEventKind::ChecksumGuard`]) and left untouched;
+/// * each column corrects up to `t` errors (a 0D error, or one element of each
+///   column a corrupted row crosses);
+/// * with row vectors (`Full`, `Multi`), rows correct what the column pass could not
+///   (a corrupted column is one error per crossing row);
+/// * a tile whose data changed is accepted only if every column and every row then
+///   verifies; the remaining discrepancies (e.g. 2D patterns, or 1D column patterns
+///   under the single-side scheme) are reported as `uncorrectable`.
 pub fn verify_and_correct(m: &mut Matrix, cs: &BlockChecksums) -> VerifyOutcome {
     let mut cols: Vec<&mut [f64]> = m.cols_range_mut(cs.block).map(|(_, s)| s).collect();
     verify_and_correct_slices(&mut cols, cs)
@@ -487,155 +465,16 @@ pub fn verify_and_correct_slices(cols: &mut [&mut [f64]], cs: &BlockChecksums) -
     debug_assert!(cols.iter().all(|c| c.len() == block.rows));
     match cs.scheme {
         ChecksumScheme::None => VerifyOutcome::default(),
-        ChecksumScheme::Multi(t) => verify_multi(cols, cs, usize::from(t.max(1))),
-        ChecksumScheme::SingleSide | ChecksumScheme::Full => verify_legacy(cols, cs),
-    }
-}
-
-/// The legacy two-vector verification: 0D location by discrepancy ratio, 1D rebuilds
-/// under the full scheme.
-fn verify_legacy(cols: &mut [&mut [f64]], cs: &BlockChecksums) -> VerifyOutcome {
-    let mut out = VerifyOutcome::default();
-    let block = cs.block;
-    let Some(stored_cols) = cs.columns.as_ref() else {
-        return out; // no fault tolerance
-    };
-
-    let amax = tile_max_abs(cols);
-    let actual_cols = {
-        let views: Vec<&[f64]> = cols.iter().map(|c| &**c).collect();
-        encode_column_checksums_slices(&views, stored_cols.checks.len())
-    };
-    let scale_sum = vector_scale(stored_cols.sum(), actual_cols.sum(), amax, block.rows, 0);
-    let scale_weighted =
-        vector_scale(stored_cols.weighted(), actual_cols.weighted(), amax, block.rows, 1);
-
-    // Columns whose checksum disagrees.
-    let bad_cols: Vec<usize> = (0..block.cols)
-        .filter(|&j| {
-            mismatch(stored_cols.sum()[j], actual_cols.sum()[j], 0, scale_sum)
-                || mismatch(stored_cols.weighted()[j], actual_cols.weighted()[j], 1, scale_weighted)
-        })
-        .collect();
-    if bad_cols.is_empty() {
-        return out;
-    }
-
-    match cs.scheme {
-        ChecksumScheme::SingleSide => {
-            // Each bad column is assumed to hold a single corrupted element (0D). If the
-            // located row index is not integral, the column has a more complex pattern and
-            // is uncorrectable with a single-side checksum.
-            for &j in &bad_cols {
-                let d_sum = stored_cols.sum()[j] - actual_cols.sum()[j];
-                let d_weighted = stored_cols.weighted()[j] - actual_cols.weighted()[j];
-                if let Some(i) = try_correct_single_element(cols[j], d_sum, d_weighted) {
-                    out.corrected_0d += 1;
-                    out.events.push(VerifyEvent {
-                        row: block.row + i,
-                        col: block.col + j,
-                        kind: VerifyEventKind::Corrected0d,
-                    });
-                } else {
-                    out.uncorrectable += 1;
-                    out.events.push(VerifyEvent {
-                        row: block.row,
-                        col: block.col + j,
-                        kind: VerifyEventKind::Uncorrectable,
-                    });
-                }
-            }
-            out.events.sort_unstable();
-            out
-        }
-        _ => {
-            let stored_rows = cs.rows.as_ref().expect("full scheme carries row checksums");
-            let actual_rows = {
-                let views: Vec<&[f64]> = cols.iter().map(|c| &**c).collect();
-                encode_row_checksums_slices(&views, stored_rows.checks.len())
-            };
-            let rscale_sum = vector_scale(stored_rows.sum(), actual_rows.sum(), amax, block.cols, 0);
-            let rscale_weighted =
-                vector_scale(stored_rows.weighted(), actual_rows.weighted(), amax, block.cols, 1);
-            let bad_rows: Vec<usize> = (0..block.rows)
-                .filter(|&i| {
-                    mismatch(stored_rows.sum()[i], actual_rows.sum()[i], 0, rscale_sum)
-                        || mismatch(
-                            stored_rows.weighted()[i],
-                            actual_rows.weighted()[i],
-                            1,
-                            rscale_weighted,
-                        )
-                })
-                .collect();
-
-            if bad_cols.len() == 1 && bad_rows.len() == 1 {
-                // A single element at the intersection.
-                let j = bad_cols[0];
-                let i = bad_rows[0];
-                let d = stored_cols.sum()[j] - actual_cols.sum()[j];
-                cols[j][i] += d;
-                out.corrected_0d += 1;
-                out.events.push(VerifyEvent {
-                    row: block.row + i,
-                    col: block.col + j,
-                    kind: VerifyEventKind::Corrected0d,
-                });
-            } else if bad_rows.len() == 1 {
-                // One corrupted row spanning several columns: rebuild each affected
-                // element from its column discrepancy.
-                let i = bad_rows[0];
-                for &j in &bad_cols {
-                    let d = stored_cols.sum()[j] - actual_cols.sum()[j];
-                    cols[j][i] += d;
-                }
-                out.corrected_1d += 1;
-                out.events.push(VerifyEvent {
-                    row: block.row + i,
-                    col: block.col + bad_cols[0],
-                    kind: VerifyEventKind::Corrected1dRow,
-                });
-            } else if bad_cols.len() == 1 {
-                // One corrupted column spanning several rows.
-                let j = bad_cols[0];
-                for &i in &bad_rows {
-                    let d = stored_rows.sum()[i] - actual_rows.sum()[i];
-                    cols[j][i] += d;
-                }
-                out.corrected_1d += 1;
-                out.events.push(VerifyEvent {
-                    row: block.row + bad_rows[0],
-                    col: block.col + j,
-                    kind: VerifyEventKind::Corrected1dCol,
-                });
-            } else {
-                // 2D pattern (or multiple independent strikes): beyond full-checksum ABFT.
-                // One event per counted unit, anchored along the larger dimension so
-                // the log localizes every affected line.
-                out.uncorrectable += bad_cols.len().max(bad_rows.len());
-                if bad_cols.len() >= bad_rows.len() {
-                    let anchor_row = bad_rows.first().copied().unwrap_or(0);
-                    for &j in &bad_cols {
-                        out.events.push(VerifyEvent {
-                            row: block.row + anchor_row,
-                            col: block.col + j,
-                            kind: VerifyEventKind::Uncorrectable,
-                        });
-                    }
-                } else {
-                    let anchor_col = bad_cols.first().copied().unwrap_or(0);
-                    for &i in &bad_rows {
-                        out.events.push(VerifyEvent {
-                            row: block.row + i,
-                            col: block.col + anchor_col,
-                            kind: VerifyEventKind::Uncorrectable,
-                        });
-                    }
-                }
-            }
-            out.events.sort_unstable();
-            out
-        }
+        _ if checksum_guard(cs) != cs.guard => VerifyOutcome {
+            uncorrectable: 1,
+            events: vec![VerifyEvent {
+                row: block.row,
+                col: block.col,
+                kind: VerifyEventKind::ChecksumGuard,
+            }],
+            ..VerifyOutcome::default()
+        },
+        scheme => decode_tile(cols, cs, scheme.correctable_per_line()),
     }
 }
 
@@ -696,8 +535,7 @@ fn solve_dense(a: &mut [Vec<f64>], b: &mut [f64]) -> bool {
 /// come from the Hankel recurrence the syndromes must satisfy, its roots are matched
 /// against the integer nodes `1..=len`, and the magnitudes from the leading `e`
 /// moments. A hypothesis is accepted only when it explains **every** syndrome within
-/// tolerance — which rejects aliased locations, error counts beyond `t`, and
-/// corrupted check values masquerading as data errors.
+/// tolerance — which rejects aliased locations and error counts beyond `t`.
 fn decode_line(d: &[f64], len: usize, t: usize, tols: &[f64]) -> Option<LineFix> {
     let nv = d.len();
     for e in 1..=t.min(len) {
@@ -750,179 +588,151 @@ fn decode_line(d: &[f64], len: usize, t: usize, tols: &[f64]) -> Option<LineFix>
     None
 }
 
-/// Verification and correction under an order-`t` [`ChecksumScheme::Multi`] code:
+/// Read-only views of a tile's columns, the form the encoders take.
+fn views<'a>(cols: &'a [&mut [f64]]) -> Vec<&'a [f64]> {
+    cols.iter().map(|c| &**c).collect()
+}
+
+/// Per-vector mismatch tolerances of one direction (lines of `line_len` elements).
+fn tolerances(stored: &[Vec<f64>], actual: &[Vec<f64>], amax: f64, line_len: usize) -> Vec<f64> {
+    (0..stored.len())
+        .map(|p| rel_tol(p) * vector_scale(&stored[p], &actual[p], amax, line_len, p))
+        .collect()
+}
+
+/// True when any syndrome is out of its tolerance (NaN included).
+fn dirty(d: &[f64], tols: &[f64]) -> bool {
+    d.iter().zip(tols).any(|(v, tol)| v.is_nan() || v.abs() > *tol)
+}
+
+/// Write line `k`'s syndromes `stored − actual` into `d` and test them with
+/// [`dirty`]. A clean line costs no allocation.
+fn syndrome(stored: &[Vec<f64>], actual: &[Vec<f64>], k: usize, tols: &[f64], d: &mut [f64]) -> bool {
+    for (p, dp) in d.iter_mut().enumerate() {
+        *dp = stored[p][k] - actual[p][k];
+    }
+    dirty(d, tols)
+}
+
+/// Apply a decoded fix to tile column `j` and tally it (one element is a 0D fix).
+fn fix_column(col: &mut [f64], fix: &LineFix, block: Block, j: usize, out: &mut VerifyOutcome) {
+    for (&i, &m) in fix.positions.iter().zip(&fix.magnitudes) {
+        col[i] += m;
+    }
+    let kind = if fix.positions.len() == 1 {
+        out.corrected_0d += 1;
+        VerifyEventKind::Corrected0d
+    } else {
+        out.corrected_k += 1;
+        VerifyEventKind::CorrectedKCol
+    };
+    out.events.push(VerifyEvent { row: block.row + fix.positions[0], col: block.col + j, kind });
+}
+
+/// The order-`t` decoder every scheme shares (the guard has already vouched for the
+/// stored vectors):
 ///
 /// 1. every column is decoded independently (up to `t` errors each — any scatter of
 ///    `≤ t` strikes per column is absorbed regardless of how many columns are hit);
-/// 2. columns holding more than `t` strikes are left to a row pass, where each
-///    crossing row sees at most `t` of them (e.g. up to `t` wiped lines);
-/// 3. a final column re-check accounts residual damage as uncorrectable — unless
-///    the row pass resolved every mismatching row, which attests the data clean
-///    and reclassifies the residual as a dense strike on the stored checks;
-/// 4. at every stage, lines whose syndromes are sparse (≤ `t` nonzero) with no
-///    consistent data interpretation are recognized as strikes in the stored check
-///    vectors themselves: the data is accepted as clean and only the metadata is
-///    distrusted.
-fn verify_multi(cols: &mut [&mut [f64]], cs: &BlockChecksums, t: usize) -> VerifyOutcome {
+///    a clean tile ends here;
+/// 2. with row vectors, rows decode what the columns left: a column holding more than
+///    `t` strikes exposes at most `t` of them per crossing row (e.g. up to `t` wiped
+///    lines), and the columns the row pass brought back within capacity decode again;
+/// 3. acceptance: every column and every row must now verify; each line that does not
+///    is uncorrectable, counted along the direction with more of them.
+fn decode_tile(cols: &mut [&mut [f64]], cs: &BlockChecksums, t: usize) -> VerifyOutcome {
     let block = cs.block;
-    let nv = 2 * t;
-    let height = block.rows;
-    let width = block.cols;
+    let (height, width) = (block.rows, block.cols);
     let mut out = VerifyOutcome::default();
-    let stored_c = cs.columns.as_ref().expect("multi scheme carries column checksums");
-    let stored_r = cs.rows.as_ref().expect("multi scheme carries row checksums");
+    let stored_c = &cs.columns.as_ref().expect("every code carries column checksums").checks;
+    let nv = stored_c.len();
+    let mut d = vec![0.0; nv];
 
     let amax = tile_max_abs(cols);
-    let actual_c = {
-        let views: Vec<&[f64]> = cols.iter().map(|c| &**c).collect();
-        encode_column_checksums_slices(&views, nv)
-    };
-    let ctol: Vec<f64> = (0..nv)
-        .map(|p| rel_tol(p) * vector_scale(&stored_c.checks[p], &actual_c.checks[p], amax, height, p))
-        .collect();
-
+    let actual_c = encode_column_checksums_slices(&views(cols), nv).checks;
+    let ctol = tolerances(stored_c, &actual_c, amax, height);
     let mut pending: Vec<usize> = Vec::new();
-    for (j, col) in cols.iter_mut().enumerate().take(width) {
-        let d: Vec<f64> = (0..nv).map(|p| stored_c.checks[p][j] - actual_c.checks[p][j]).collect();
-        if d.iter().zip(&ctol).all(|(v, tol)| v.abs() <= *tol) {
+    for (j, col) in cols.iter_mut().enumerate() {
+        if !syndrome(stored_c, &actual_c, j, &ctol, &mut d) {
             continue;
         }
-        if let Some(fix) = decode_line(&d, height, t, &ctol) {
-            for (&i, &m) in fix.positions.iter().zip(&fix.magnitudes) {
-                col[i] += m;
+        match decode_line(&d, height, t, &ctol) {
+            Some(fix) => fix_column(col, &fix, block, j, &mut out),
+            None => pending.push(j),
+        }
+    }
+    if out.events.is_empty() && pending.is_empty() {
+        return out; // clean: the guard vouches for the row vectors
+    }
+
+    // Row pass over the column-corrected tile, keeping its tolerances for acceptance.
+    let mut rows: Option<(&[Vec<f64>], Vec<f64>)> = None;
+    if let Some(stored_r) = cs.rows.as_ref().map(|r| &r.checks) {
+        let actual_r = encode_row_checksums_slices(&views(cols), nv).checks;
+        let rtol = tolerances(stored_r, &actual_r, amax, width);
+        // Row-major walk over the column-major tile: `i` must index into every column.
+        #[allow(clippy::needless_range_loop)]
+        for i in 0..height {
+            if !syndrome(stored_r, &actual_r, i, &rtol, &mut d) {
+                continue;
             }
-            if fix.positions.len() == 1 {
-                out.corrected_0d += 1;
-                out.events.push(VerifyEvent {
-                    row: block.row + fix.positions[0],
-                    col: block.col + j,
-                    kind: VerifyEventKind::Corrected0d,
-                });
-            } else {
+            // A row the code cannot decode is residual damage; the acceptance check
+            // below is the single accounting site.
+            if let Some(fix) = decode_line(&d, width, t, &rtol) {
+                for (&j, &m) in fix.positions.iter().zip(&fix.magnitudes) {
+                    cols[j][i] += m;
+                }
                 out.corrected_k += 1;
                 out.events.push(VerifyEvent {
-                    row: block.row + fix.positions[0],
-                    col: block.col + j,
-                    kind: VerifyEventKind::CorrectedKCol,
+                    row: block.row + i,
+                    col: block.col + fix.positions[0],
+                    kind: VerifyEventKind::CorrectedKRow,
                 });
             }
-        } else if d.iter().zip(&ctol).filter(|(v, tol)| v.abs() > **tol).count() <= t {
-            // A data error lights every syndrome (m·x^p ≠ 0 for all p ≥ 0), so a
-            // sparse syndrome pattern with no consistent data decode means the
-            // strike landed in the stored check values: trust the data.
-            out.corrected_check += 1;
-            out.events.push(VerifyEvent {
-                row: block.row,
-                col: block.col + j,
-                kind: VerifyEventKind::CorrectedCheck,
-            });
-        } else {
-            pending.push(j);
         }
+        // Columns the row pass brought back within capacity decode again.
+        let mut acc = vec![0.0; nv];
+        for &j in &pending {
+            acc.fill(0.0);
+            accumulate_power_sums(cols[j], &mut acc);
+            for (p, dp) in d.iter_mut().enumerate() {
+                *dp = stored_c[p][j] - acc[p];
+            }
+            if !dirty(&d, &ctol) {
+                continue; // fully rescued by the row pass
+            }
+            if let Some(fix) = decode_line(&d, height, t, &ctol) {
+                fix_column(cols[j], &fix, block, j, &mut out);
+            }
+        }
+        rows = Some((stored_r, rtol));
     }
 
-    // Row pass — always taken, both to rescue pending columns (a column holding
-    // more than t strikes exposes at most t per crossing row) and to recognize
-    // strikes in the stored *row* check vectors.
-    let actual_r = {
-        let views: Vec<&[f64]> = cols.iter().map(|c| &**c).collect();
-        encode_row_checksums_slices(&views, nv)
+    // Acceptance: the decoded tile must verify in every column and every row.
+    let actual_c = encode_column_checksums_slices(&views(cols), nv).checks;
+    let bad_cols: Vec<usize> =
+        (0..width).filter(|&j| syndrome(stored_c, &actual_c, j, &ctol, &mut d)).collect();
+    let bad_rows: Vec<usize> = match rows {
+        Some((stored_r, rtol)) => {
+            let actual_r = encode_row_checksums_slices(&views(cols), nv).checks;
+            (0..height).filter(|&i| syndrome(stored_r, &actual_r, i, &rtol, &mut d)).collect()
+        }
+        None => Vec::new(),
     };
-    let rtol: Vec<f64> = (0..nv)
-        .map(|p| rel_tol(p) * vector_scale(&stored_r.checks[p], &actual_r.checks[p], amax, width, p))
-        .collect();
-    let mut rows_unresolved = 0usize;
-    // Row-major walk over the column-major tile: `i` must index into every column.
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..height {
-        let d: Vec<f64> = (0..nv).map(|p| stored_r.checks[p][i] - actual_r.checks[p][i]).collect();
-        if d.iter().zip(&rtol).all(|(v, tol)| v.abs() <= *tol) {
-            continue;
-        }
-        if let Some(fix) = decode_line(&d, width, t, &rtol) {
-            for (&j, &m) in fix.positions.iter().zip(&fix.magnitudes) {
-                cols[j][i] += m;
-            }
-            out.corrected_k += 1;
-            out.events.push(VerifyEvent {
-                row: block.row + i,
-                col: block.col + fix.positions[0],
-                kind: VerifyEventKind::CorrectedKRow,
-            });
-        } else if d.iter().zip(&rtol).filter(|(v, tol)| v.abs() > **tol).count() <= t {
-            out.corrected_check += 1;
-            out.events.push(VerifyEvent {
-                row: block.row + i,
-                col: block.col,
-                kind: VerifyEventKind::CorrectedCheck,
-            });
-        } else {
-            // Rows that fail both hypotheses belong to residual column damage;
-            // the column re-check below is the single accounting site (no double
-            // count) — but their existence is evidence that data damage remains.
-            rows_unresolved += 1;
-        }
-    }
-
-    // Final column re-check of what pass 1 could not decode.
-    let mut acc = vec![0.0; nv];
-    for &j in &pending {
-        acc.fill(0.0);
-        accumulate_power_sums(cols[j], &mut acc);
-        let d: Vec<f64> = (0..nv).map(|p| stored_c.checks[p][j] - acc[p]).collect();
-        if d.iter().zip(&ctol).all(|(v, tol)| v.abs() <= *tol) {
-            continue; // fully rescued by the row pass
-        }
-        if let Some(fix) = decode_line(&d, height, t, &ctol) {
-            // The row pass brought the column back within capacity.
-            for (&i, &m) in fix.positions.iter().zip(&fix.magnitudes) {
-                cols[j][i] += m;
-            }
-            out.corrected_k += 1;
-            out.events.push(VerifyEvent {
-                row: block.row + fix.positions[0],
-                col: block.col + j,
-                kind: VerifyEventKind::CorrectedKCol,
-            });
-        } else if rows_unresolved == 0 {
-            // Every data error lights its crossing row's syndromes, and every
-            // mismatching row was decoded or recognized as a row-check strike —
-            // so the data is attested clean by the row code, and this column's
-            // residual mismatch can only be strikes in its stored check values
-            // (more than `t` of them, which is why the sparse test missed it).
-            out.corrected_check += 1;
-            out.events.push(VerifyEvent {
-                row: block.row,
-                col: block.col + j,
-                kind: VerifyEventKind::CorrectedCheck,
-            });
-        } else {
-            out.uncorrectable += 1;
-            out.events.push(VerifyEvent {
-                row: block.row,
-                col: block.col + j,
-                kind: VerifyEventKind::Uncorrectable,
-            });
-        }
-    }
+    let anchor = |v: &[usize]| v.first().copied().unwrap_or(0);
+    let failed: Vec<(usize, usize)> = if bad_cols.len() >= bad_rows.len() {
+        bad_cols.iter().map(|&j| (anchor(&bad_rows), j)).collect()
+    } else {
+        bad_rows.iter().map(|&i| (i, anchor(&bad_cols))).collect()
+    };
+    out.uncorrectable += failed.len();
+    out.events.extend(failed.into_iter().map(|(i, j)| VerifyEvent {
+        row: block.row + i,
+        col: block.col + j,
+        kind: VerifyEventKind::Uncorrectable,
+    }));
     out.events.sort_unstable();
     out
-}
-
-/// Attempt a 0D correction in one tile column from the checksum discrepancies;
-/// returns the corrected in-tile row index on success.
-fn try_correct_single_element(col: &mut [f64], d_sum: f64, d_weighted: f64) -> Option<usize> {
-    if d_sum.abs() < f64::EPSILON {
-        // Weighted checksum disagrees but the plain sum does not: cannot locate.
-        return None;
-    }
-    let row_loc = d_weighted / d_sum; // == (i + 1) for a single corrupted element
-    let i = row_loc.round() as i64 - 1;
-    if i < 0 || i as usize >= col.len() || (row_loc - row_loc.round()).abs() > 1e-3 {
-        return None;
-    }
-    col[i as usize] += d_sum;
-    Some(i as usize)
 }
 
 #[cfg(test)]
@@ -990,8 +800,9 @@ mod tests {
         for j in 0..10 {
             m.set(4, j, m.get(4, j) + (j as f64 + 1.0));
         }
+        // One error per column: the column pass corrects each as a single element.
         let out = verify_and_correct(&mut m, &cs);
-        assert_eq!(out.corrected_1d, 1);
+        assert_eq!((out.corrected_0d, out.corrected_k), (10, 0), "events: {:?}", out.events);
         assert_eq!(out.uncorrectable, 0);
         assert!(m.approx_eq(&original, 1e-9));
     }
@@ -1004,8 +815,9 @@ mod tests {
         for i in 2..9 {
             m.set(i, 7, m.get(i, 7) - 3.5 * i as f64);
         }
+        // Seven errors in one column: the row pass corrects each crossing row.
         let out = verify_and_correct(&mut m, &cs);
-        assert_eq!(out.corrected_1d, 1);
+        assert_eq!((out.corrected_0d, out.corrected_k), (0, 7), "events: {:?}", out.events);
         assert_eq!(out.uncorrectable, 0);
         assert!(m.approx_eq(&original, 1e-9));
     }
@@ -1044,8 +856,8 @@ mod tests {
 
     #[test]
     fn multi_corrects_scattered_strikes_within_capacity() {
-        // Three strikes in three different columns of one block: defeats Full's
-        // global row/column pattern match, trivially absorbed by per-column decode.
+        // Three strikes in three different columns of one block: each column holds
+        // one, so the column pass absorbs all three.
         let (mut m, block) = setup(12);
         let original = m.clone();
         let cs = encode_block(&m, block, ChecksumScheme::Multi(1));
@@ -1131,10 +943,9 @@ mod tests {
     }
 
     #[test]
-    fn multi_absorbs_strikes_in_the_check_vectors_themselves() {
-        // Corrupt stored check values (not data): the decoder recognizes the
-        // sparse-syndrome signature, reports CorrectedCheck, and leaves the data
-        // bit-identical — no checksum-of-checksums guard involved.
+    fn multi_check_vector_strikes_trip_the_guard() {
+        // Corrupt stored check values (not data): the guard hash no longer matches,
+        // so the tile is uncorrectable and its data bit-identical.
         let (m, block) = setup(10);
         let mut cs = encode_block(&m, block, ChecksumScheme::Multi(2));
         {
@@ -1148,18 +959,16 @@ mod tests {
         }
         let mut verified = m.clone();
         let out = verify_and_correct(&mut verified, &cs);
-        assert_eq!(out.uncorrectable, 0, "events: {:?}", out.events);
-        assert_eq!(out.corrected_check, 3);
+        assert_eq!(out.uncorrectable, 1, "events: {:?}", out.events);
+        assert_eq!(out.events[0].kind, VerifyEventKind::ChecksumGuard);
         assert!(verified == m, "data must be untouched (bit-identical)");
     }
 
     #[test]
-    fn multi_reclassifies_dense_check_strikes_via_row_attestation() {
-        // More than t strikes piling onto ONE column's stored checks defeats the
-        // sparse-syndrome test (pass 1 sees > t nonzero syndromes and no decode),
-        // but the row pass resolves every mismatching row, attesting the data
-        // clean — so the final re-check must report CorrectedCheck, not
-        // Uncorrectable, and leave the data bit-identical.
+    fn dense_check_strikes_on_one_column_trip_the_guard() {
+        // More than t strikes piling onto ONE column's stored checks: no data
+        // interpretation explains them, and the guard reports the tile before the
+        // decoder could try one.
         let (m, block) = setup(10);
         let mut cs = encode_block(&m, block, ChecksumScheme::Multi(2));
         {
@@ -1170,9 +979,49 @@ mod tests {
         }
         let mut verified = m.clone();
         let out = verify_and_correct(&mut verified, &cs);
-        assert_eq!(out.uncorrectable, 0, "events: {:?}", out.events);
-        assert!(out.corrected_check >= 1, "events: {:?}", out.events);
+        assert_eq!(out.uncorrectable, 1, "events: {:?}", out.events);
+        assert_eq!(out.events[0].kind, VerifyEventKind::ChecksumGuard);
         assert!(verified == m, "data must be untouched (bit-identical)");
+    }
+
+    #[test]
+    fn multi1_decodes_exactly_like_full_and_single_side_like_its_columns() {
+        // Full is the order-1 code: Multi(1) carries the same vectors and takes the
+        // same decoder, so data and outcome agree bit for bit. SingleSide is that
+        // code without rows: it corrects a row wipe (one error per column) and
+        // cannot correct a column wipe.
+        let (m, block) = setup(12);
+        let row_wipe = |t: &mut Matrix| (0..12).for_each(|j| t.set(5, j, t.get(5, j) + 3.0));
+        let col_wipe = |t: &mut Matrix| (1..9).for_each(|i| t.set(i, 2, t.get(i, 2) * 4.0 + 1.0));
+        let grid = |t: &mut Matrix| {
+            for (i, j) in [(1, 1), (1, 8), (9, 1), (9, 8)] {
+                t.set(i, j, t.get(i, j) - 7.0);
+            }
+        };
+        let patterns: [&dyn Fn(&mut Matrix); 3] = [&row_wipe, &col_wipe, &grid];
+        for strike in patterns {
+            let run = |scheme| {
+                let cs = encode_block(&m, block, scheme);
+                let mut t = m.clone();
+                strike(&mut t);
+                let out = verify_and_correct(&mut t, &cs);
+                (t, out)
+            };
+            let (full, multi1) = (run(ChecksumScheme::Full), run(ChecksumScheme::Multi(1)));
+            assert!(full.0 == multi1.0, "data differ");
+            assert_eq!(full.1, multi1.1);
+        }
+        let single = |strike: &dyn Fn(&mut Matrix)| {
+            let cs = encode_block(&m, block, ChecksumScheme::SingleSide);
+            let mut t = m.clone();
+            strike(&mut t);
+            (verify_and_correct(&mut t, &cs), t)
+        };
+        let (out, fixed) = single(&row_wipe);
+        assert_eq!((out.corrected_0d, out.uncorrectable), (12, 0), "events: {:?}", out.events);
+        assert!(fixed.approx_eq(&m, 1e-9));
+        let (out, _) = single(&col_wipe);
+        assert_eq!(out.uncorrectable, 1, "events: {:?}", out.events);
     }
 
     #[test]

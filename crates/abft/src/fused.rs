@@ -15,11 +15,10 @@
 //! *costs* the full encode/verify/correct pipeline on the real schedule, and corrects
 //! any corruption that strikes a tile **between** its encoding and a later
 //! verification, but a fault occurring inside the numeric update itself is signed
-//! into the fresh checksums rather than detected. Protection *through* an update uses
-//! the carried-checksum identities in [`crate::checksum`]
-//! ([`crate::checksum::update_block_checksums_gemm`]), which the reliability drivers
-//! in `bsr-core` apply across iterations; fusing those carried checksums into the
-//! task graph is future work.
+//! into the fresh checksums rather than detected. Protection *through* an update
+//! would carry the checksums across iterations with the identities in
+//! [`crate::checksum`] ([`crate::checksum::update_block_checksums_gemm`]); nothing in
+//! the workspace, `bsr-core` included, applies them yet.
 //!
 //! One hook for every element type: the impl is written once over
 //! `bsr_linalg::Element`, and the checksum arithmetic is always f64. At `E = f64` the
@@ -43,9 +42,8 @@
 //! merge order does not matter.
 
 use crate::checksum::{
-    checksum_guard, encode_block_slices, encode_column_checksums_slices,
-    verify_and_correct_slices, BlockChecksums, ChecksumScheme, VerifyEvent, VerifyEventKind,
-    VerifyOutcome,
+    encode_block_slices, encode_column_checksums_slices, verify_and_correct_slices,
+    BlockChecksums, ChecksumScheme, VerifyEvent, VerifyEventKind, VerifyOutcome,
 };
 use crate::inject::{
     corrupt_checksums, inject_burst_slices, inject_fault_slices, inject_grid_slices, InjectedFault,
@@ -67,14 +65,15 @@ use std::time::Instant;
 pub enum FaultTarget {
     /// The tile's data elements, per the fault's [`ErrorPattern`] — the base model.
     TileData,
-    /// The tile's checksum vectors themselves: element verification cannot see this
-    /// (it trusts the stored checksums); only the checksum-of-checksums guard can.
+    /// The tile's checksum vectors themselves: the decoder trusts the stored
+    /// vectors, so the guard hash the checksums carry catches this and reports the
+    /// tile uncorrectable, under every scheme.
     Checksum,
     /// The iteration's lookahead panel factorization (detected by the panel
     /// verification in `after_panel_factor`, never corrected in place).
     Panel,
     /// A deterministic four-corner multi-fault burst that exceeds the correction
-    /// capability of every *legacy* scheme (always ≥ 2 bad rows and ≥ 2 bad columns
+    /// capability of every order-1 scheme (always ≥ 2 bad rows and ≥ 2 bad columns
     /// on real tiles); an order-2+ [`ChecksumScheme::Multi`] code absorbs it in place.
     Burst,
     /// A deterministic `g × g` spread-out corruption grid
@@ -287,14 +286,6 @@ impl FusedTileChecksums {
             nanos += t0.elapsed().as_nanos() as u64;
             Some(cs)
         };
-        // Checksum-of-checksums, taken while the encoding is trusted. The Multi
-        // codes recognize metadata strikes through the code itself (their
-        // verifier decodes them as `CorrectedCheck`), so the guard — which can
-        // only declare the whole tile uncorrectable — is legacy-scheme-only.
-        let guard = match self.scheme {
-            ChecksumScheme::Multi(_) => None,
-            _ => cs.as_ref().map(checksum_guard),
-        };
         // Planned faults strike this tile now — after encode, before verify.
         // Panel-targeted faults belong to `after_panel_factor`, not here.
         for fault in self
@@ -332,22 +323,7 @@ impl FusedTileChecksums {
         }
         if let Some(cs) = cs {
             let t0 = Instant::now();
-            if guard.is_some_and(|g| g != checksum_guard(&cs)) {
-                // The checksum vectors themselves are corrupt: element
-                // verification would "correct" healthy data against garbage,
-                // so it is skipped and the tile is uncorrectable-by-detection.
-                // (Multi schemes carry no guard — their verifier decodes
-                // check strikes through the code itself.)
-                out.uncorrectable += 1;
-                out.events.push(VerifyEvent {
-                    row: tile_row,
-                    col: col0,
-                    kind: VerifyEventKind::ChecksumGuard,
-                });
-                out.events.sort_unstable();
-            } else {
-                out.merge(&verify_and_correct_slices(tile, &cs));
-            }
+            out.merge(&verify_and_correct_slices(tile, &cs));
             nanos += t0.elapsed().as_nanos() as u64;
         }
         nanos
@@ -647,7 +623,7 @@ mod tests {
         assert_eq!(fused.pivots, plain.pivots);
         let out = hook.outcome();
         assert!(out.is_clean_or_corrected());
-        assert_eq!(out.corrected_0d + out.corrected_1d, 0, "nothing to correct");
+        assert_eq!(out.total_corrected(), 0, "nothing to correct");
         assert!(hook.checksum_seconds() > 0.0);
 
         let spd = random_spd_matrix(&mut rng, n);
@@ -692,8 +668,8 @@ mod tests {
         let merged = dag_hook.outcome();
         let stepped = barrier_hook.outcome();
         assert_eq!(
-            (merged.corrected_0d, merged.corrected_1d, merged.uncorrectable),
-            (stepped.corrected_0d, stepped.corrected_1d, stepped.uncorrectable),
+            (merged.corrected_0d, merged.corrected_k, merged.uncorrectable),
+            (stepped.corrected_0d, stepped.corrected_k, stepped.uncorrectable),
             "per-iteration tallies diverge"
         );
         assert!(merged.is_clean_or_corrected());

@@ -200,14 +200,12 @@ pub fn inject_grid_slices<R: Rng + ?Sized>(
 }
 
 /// Corrupt one element of each checksum vector the block carries — a fault landing
-/// in the ABFT metadata itself rather than the data it protects. Legacy element
-/// verification cannot see this (it trusts the stored checksums; left alone it
-/// would "correct" healthy data against garbage); the checksum-of-checksums guard
-/// ([`crate::checksum::checksum_guard`]) exists to catch exactly this for the
-/// legacy schemes, while the `Multi` codes recognize and absorb the strikes through
-/// the code itself. Returns the number of checksum elements corrupted (0 when the
-/// scheme carries none). For legacy two-vector schemes the RNG draw sequence is
-/// unchanged from before the generalized-code layer.
+/// in the ABFT metadata itself rather than the data it protects. The decoder trusts
+/// the stored vectors (left alone it would "correct" healthy data against garbage),
+/// so verification compares the guard hash [`BlockChecksums`] took when the vectors
+/// were written and reports the tile uncorrectable, without touching its data, under
+/// every scheme. Returns the number of checksum elements corrupted (0 when the scheme
+/// carries none).
 pub fn corrupt_checksums<R: Rng + ?Sized>(cs: &mut BlockChecksums, rng: &mut R) -> usize {
     let hit = |vs: &mut [f64], rng: &mut R| {
         if vs.is_empty() {

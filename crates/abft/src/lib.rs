@@ -13,9 +13,11 @@
 //!   per-column slices, so checksums can ride regions of a matrix a parallel task owns.
 //!   Beyond the paper's two rungs, [`ChecksumScheme::Multi`] generalizes the pair into
 //!   an order-`t` Vandermonde code (`2t` power-weighted vectors per direction) that
-//!   locates and corrects up to `t` simultaneous errors per row/column — including
-//!   strikes landing in the check vectors themselves — via Prony decoding of the
-//!   syndrome moments;
+//!   locates and corrects up to `t` simultaneous errors per row/column via Prony
+//!   decoding of the syndrome moments. Every scheme decodes through that one code
+//!   (the paper's two are its order-1 member), and every block carries a guard hash
+//!   of its check vectors, so a strike in the vectors themselves is reported, never
+//!   "corrected" into the data;
 //! * [`fused`] — [`FusedTileChecksums`], a `bsr-linalg` `TrailingHook` that fuses the
 //!   per-tile checksum encode/verify workload into the tiled factorizations'
 //!   trailing-update tasks, so checksum maintenance runs on the parallel schedule

@@ -2,6 +2,7 @@
 
 use bsr_abft::checksum::{
     encode_block, update_block_checksums_gemm, verify_and_correct, ChecksumScheme,
+    VerifyEventKind,
 };
 use bsr_abft::coverage::{fc_full, fc_k, fc_single, num_protected_blocks};
 use bsr_abft::inject::{corrupt_checksums, inject_fault};
@@ -46,7 +47,7 @@ proptest! {
         inject_fault(&mut m, Block::full(n, n), ErrorPattern::OneD, &mut rng);
         let out = verify_and_correct(&mut m, &cs);
         prop_assert_eq!(out.uncorrectable, 0);
-        prop_assert!(out.corrected_0d + out.corrected_1d >= 1);
+        prop_assert!(out.total_corrected() >= 1);
         prop_assert!(m.approx_eq(&original, 1e-6 * (1.0 + original.max_abs())));
     }
 
@@ -66,7 +67,7 @@ proptest! {
         update_block_checksums_gemm(&mut cs, &l, &u);
         // Updated checksums must verify the numerically updated matrix as clean.
         let out = verify_and_correct(&mut m, &cs);
-        prop_assert_eq!(out.corrected_0d + out.corrected_1d + out.uncorrectable, 0);
+        prop_assert_eq!(out.total_corrected() + out.uncorrectable, 0);
     }
 
     #[test]
@@ -127,24 +128,36 @@ proptest! {
     }
 
     /// Strikes landing in the stored check vectors themselves must never touch the
-    /// data: the decoder recognizes them (`CorrectedCheck`) and the matrix stays
-    /// bit-identical — there is no checksum-of-checksums guard on the Multi path.
+    /// data, under any scheme: the guard hash no longer matches, the tile is
+    /// reported uncorrectable, and the matrix stays bit-identical.
     #[test]
-    fn multi_check_vector_strikes_leave_data_bit_identical(
+    fn check_vector_strikes_leave_data_bit_identical(
         n in 6usize..24,
-        t in 2usize..4,
+        scheme_idx in 0usize..6,
         seed in any::<u64>(),
     ) {
+        let scheme = [
+            ChecksumScheme::None,
+            ChecksumScheme::SingleSide,
+            ChecksumScheme::Full,
+            ChecksumScheme::Multi(1),
+            ChecksumScheme::Multi(2),
+            ChecksumScheme::Multi(3),
+        ][scheme_idx];
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut m = random_matrix(&mut rng, n, n);
         let original = m.clone();
-        let mut cs = encode_block(&m, Block::full(n, n), ChecksumScheme::Multi(t as u8));
+        let mut cs = encode_block(&m, Block::full(n, n), scheme);
         let struck = corrupt_checksums(&mut cs, &mut rng);
-        prop_assert_eq!(struck, 4 * t, "one strike per check vector");
+        prop_assert_eq!(struck, scheme.column_vectors() + scheme.row_vectors(),
+            "one strike per check vector");
         let out = verify_and_correct(&mut m, &cs);
-        prop_assert!(out.corrected_check >= 1, "events: {:?}", out.events);
-        prop_assert_eq!(out.corrected_0d + out.corrected_1d + out.corrected_k, 0,
+        prop_assert_eq!(out.total_corrected(), 0,
             "check strikes must not masquerade as data errors: {:?}", out.events);
+        if struck > 0 {
+            prop_assert_eq!(out.uncorrectable, 1, "events: {:?}", out.events);
+            prop_assert_eq!(out.events[0].kind, VerifyEventKind::ChecksumGuard);
+        }
         prop_assert!(m == original, "data must be bit-identical");
     }
 

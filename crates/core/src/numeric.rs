@@ -872,7 +872,7 @@ mod tests {
         cfg.platform.gpu.sdc.one_d_base_rate_per_s = 4.0e3;
         let out = run_numeric(cfg).unwrap();
         assert!(out.faults_injected > 0, "test needs at least one injected fault");
-        assert!(out.verification.corrected_0d + out.verification.corrected_1d > 0);
+        assert!(out.verification.total_corrected() > 0);
         assert!(
             out.numerically_correct,
             "full ABFT must repair the factorization (residual {res}, {n} faults)",
@@ -1122,7 +1122,7 @@ mod tests {
         cfg.platform.gpu.sdc.one_d_base_rate_per_s = 4.0e3;
         let out = run_numeric(cfg).unwrap();
         assert!(out.faults_injected > 0, "test needs at least one injected fault");
-        assert!(out.verification.corrected_0d + out.verification.corrected_1d > 0);
+        assert!(out.verification.total_corrected() > 0);
         let mixed = out.mixed.unwrap();
         assert!(
             mixed.converged,

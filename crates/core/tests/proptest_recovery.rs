@@ -301,9 +301,6 @@ enum Expect {
     Uncorrectable,
     /// Within an order-`t` code's per-line budget: located and fixed in place.
     CorrectedK,
-    /// Strikes in the stored check vectors, recognized as such (data untrusted
-    /// metadata): only the `Multi` codes can classify these without a guard.
-    CorrectedCheck,
 }
 
 /// The vacuity guard generalized over every scheme × fault-class pair the
@@ -311,8 +308,9 @@ enum Expect {
 /// recovery *off* and fixed seeds on the deterministic DAG runtime, each pair
 /// must observably produce its calibrated outcome — `grid(g)` defeats every
 /// order `t < g` and is absorbed in place by `t ≥ g`, four-corner bursts sit
-/// exactly at order 2, check-vector strikes are classified by the code itself,
-/// and panel strikes always escalate (panel verification is detection-only).
+/// exactly at order 2, check-vector strikes trip the guard hash under every
+/// scheme, and panel strikes always escalate (panel verification is
+/// detection-only).
 /// `persistent` is a re-strike modifier, not a target class; its escalation
 /// contract is pinned by `persistent_faults_escalate_to_structured_failure`.
 #[test]
@@ -338,8 +336,7 @@ fn every_scheme_and_fault_class_strikes_observably() {
         for (class, mix) in classes {
             let expect = match (class, scheme) {
                 ("panel", _) => Expect::Uncorrectable,
-                ("checksum", ChecksumScheme::Multi(_)) => Expect::CorrectedCheck,
-                ("checksum", _) => Expect::Uncorrectable, // checksum-of-checksums guard
+                ("checksum", _) => Expect::Uncorrectable, // the guard hash
                 ("burst", _) if order >= 2 => Expect::CorrectedK, // 2 strikes per line
                 ("burst", _) => Expect::Uncorrectable,
                 ("grid2", _) if order >= 2 => Expect::CorrectedK,
@@ -363,7 +360,6 @@ fn every_scheme_and_fault_class_strikes_observably() {
                 let observed = match expect {
                     Expect::Uncorrectable => v.uncorrectable > 0,
                     Expect::CorrectedK => v.corrected_k > 0,
-                    Expect::CorrectedCheck => v.corrected_check > 0,
                 };
                 if observed {
                     struck += 1;
@@ -382,14 +378,12 @@ fn every_scheme_and_fault_class_strikes_observably() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Acceptance campaign: strikes landing in the check vectors themselves are
-    /// corrected in place by the `Multi(t)` codes — no guard, no tile recompute —
-    /// and the factors stay **bit-identical** to the clean serial reference at
-    /// every thread count on both runtimes (check strikes never touch data, so
-    /// even the in-place path preserves bit-exactness; the rare over-capacity
-    /// pile-up escalates to a recompute that restores bit-exact state too).
+    /// Acceptance campaign: strikes landing in the check vectors themselves trip
+    /// the guard hash under the `Multi(t)` codes too — the data is never touched,
+    /// the tile is recomputed — and the factors stay **bit-identical** to the clean
+    /// serial reference at every thread count on both runtimes.
     #[test]
-    fn multi_codes_absorb_check_vector_strikes_bit_identically(
+    fn multi_codes_recover_check_vector_strikes_bit_identically(
         (bi, tiles, seed) in (0usize..2, 3usize..6, any::<u64>()),
         t in 2u8..4,
         dec_idx in 0usize..3,
@@ -408,7 +402,7 @@ proptest! {
 
         for feedback in [false, true] {
             let runtime = if feedback { "stepped" } else { "dag" };
-            let mut first: Option<(Vec<RecoveryEvent>, usize, usize)> = None;
+            let mut first: Option<(Vec<RecoveryEvent>, usize)> = None;
             for threads in THREADS {
                 let _guard = ThreadCountGuard::set(threads);
                 let label = format!("check-strike Multi({t}) {dec:?} n={n} b={b} {runtime} t={threads}");
@@ -421,9 +415,11 @@ proptest! {
                     Outcome::Recovered { .. } => {}
                     Outcome::Failed { .. } => unreachable!(),
                 }
+                prop_assert_eq!(out.verification.total_corrected(), 0,
+                    "{}: check strikes decoded as data errors", &label);
                 if out.faults_injected > 0 {
                     prop_assert!(
-                        out.verification.corrected_check > 0 || !out.recovery.is_empty(),
+                        !out.recovery.is_empty(),
                         "{}: {} check-vector strikes left no trace",
                         &label, out.faults_injected
                     );
@@ -431,7 +427,7 @@ proptest! {
                 if feedback {
                     continue; // stepped plans see host noise; per-run contract only
                 }
-                let state = (out.recovery, out.verification.corrected_check, out.faults_injected);
+                let state = (out.recovery, out.faults_injected);
                 match &first {
                     None => first = Some(state),
                     Some(f) => prop_assert_eq!(f, &state, "DAG outcome diverges ({})", &label),

@@ -292,7 +292,7 @@ fn fused_lu_run(
             .map(|(f, _)| f)
             .map_err(|e| e.to_string());
         let outcome = hook.outcome();
-        let tally = (outcome.corrected_0d, outcome.corrected_1d, outcome.uncorrectable);
+        let tally = (outcome.corrected_0d, outcome.corrected_k, outcome.uncorrectable);
         (
             result,
             hook.faults_injected(),

@@ -25,10 +25,10 @@ fn run_with(scheme_label: &str, mode: AbftMode, rate: f64) {
     cfg.platform.gpu.sdc.one_d_base_rate_per_s = rate / 10.0;
     let out = run_numeric(cfg).expect("factorization failed");
     println!(
-        "{scheme_label:<22} faults={:<3} corrected(0D/1D)={:>2}/{:<2} uncorrectable={:<2} residual={:.2e}  correct={}",
+        "{scheme_label:<22} faults={:<3} corrected(0D/k)={:>2}/{:<2} uncorrectable={:<2} residual={:.2e}  correct={}",
         out.faults_injected,
         out.verification.corrected_0d,
-        out.verification.corrected_1d,
+        out.verification.corrected_k,
         out.verification.uncorrectable,
         out.residual,
         out.numerically_correct

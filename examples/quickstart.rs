@@ -15,8 +15,8 @@ fn main() {
     println!("  numerically correct   : {}", numeric.numerically_correct);
     println!("  faults injected       : {}", numeric.faults_injected);
     println!(
-        "  corrected (0D / 1D)   : {} / {}",
-        numeric.verification.corrected_0d, numeric.verification.corrected_1d
+        "  corrected (0D / k)    : {} / {}",
+        numeric.verification.corrected_0d, numeric.verification.corrected_k
     );
 
     // The same configuration at paper scale, analytic mode, against the Original design.
